@@ -9,25 +9,38 @@ attention. Every Table-3-style ablation is a `mode` of the same forward.
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .audio_io import CANONICAL_RATE, AudioBuffer, resample
 from .backbone import BackboneConfig, backbone_forward
 from .dsp import F0Contour, MelSpectrogram, mel_spectrogram, yin_f0
-from .errors import EmptyContour, IndivisibleHeads, ShapeMismatch
+from .errors import EmptyContour, IndivisibleHeads, InvalidConfig, ShapeMismatch
 from .nn import (
+    SCALE_MODES,
     affine,
     attention_backward,
     glu_gated_conv,
     multi_head_attention,
     multi_head_attention_backward,
+    param_group,
     relu,
     scaled_dot_attention,
 )
 
-MODES = ("SE", "SE_F0", "SE_ME", "SE_F0_then_ME", "SE_ME_then_F0")
+# Mode -> cues in level order: "f0" is the encoded pitch contour, "me" the
+# mel prompt encoding. The first cue prompts the backbone states (level 1),
+# the second probes that result (level 2); no cue leaves the pooled z.
+MODES = {
+    "SE": (),
+    "SE_F0": ("f0",),
+    "SE_ME": ("me",),
+    "SE_F0_then_ME": ("f0", "me"),
+    "SE_ME_then_F0": ("me", "f0"),
+}
+# Cue -> the parameter group of its encoder, under `agg.`.
+ENCODERS = {"f0": "f0_enc", "me": "mel_enc"}
 
 
 @dataclass(frozen=True)
@@ -41,21 +54,15 @@ class AggregationConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError("unknown mode %r" % self.mode)
+            raise InvalidConfig("unknown mode %r" % self.mode)
+        if self.scale_mode not in SCALE_MODES:
+            raise InvalidConfig("unknown scale_mode %r" % self.scale_mode)
         if self.d_model % self.heads:
             raise IndivisibleHeads("d_model=%d vs heads=%d" % (self.d_model, self.heads))
 
     @property
-    def uses_f0(self):
-        return "F0" in self.mode
-
-    @property
-    def uses_mel_encoder(self):
-        return "ME" in self.mode
-
-    @property
-    def two_level(self):
-        return "then" in self.mode
+    def cues(self):
+        return MODES[self.mode]
 
 
 @dataclass(frozen=True)
@@ -65,23 +72,22 @@ class SpeakerEmbedding:
     config_hash: str
 
 
+def config_fields(backbone_cfg: BackboneConfig, agg_cfg: AggregationConfig) -> dict:
+    """Every field of both configs by name; the shared d_model is the backbone's."""
+    return {f.name: getattr(cfg, f.name) for cfg in (agg_cfg, backbone_cfg) for f in fields(cfg)}
+
+
+def configs_from_fields(values: dict):
+    """(BackboneConfig, AggregationConfig) from field values; absent fields keep their defaults."""
+    return tuple(
+        cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+        for cls in (BackboneConfig, AggregationConfig)
+    )
+
+
 def config_hash(backbone_cfg: BackboneConfig, agg_cfg: AggregationConfig) -> str:
     """64-bit hex digest over everything that shapes the forward pass."""
-    blob = json.dumps(
-        {
-            "in_dim": backbone_cfg.in_dim,
-            "channels": backbone_cfg.channels,
-            "scale": backbone_cfg.scale,
-            "dilations": list(backbone_cfg.dilations),
-            "d_model": backbone_cfg.d_model,
-            "mode": agg_cfg.mode,
-            "splitting": agg_cfg.splitting,
-            "n_tokens": agg_cfg.n_tokens,
-            "heads": agg_cfg.heads,
-            "scale_mode": agg_cfg.scale_mode,
-        },
-        sort_keys=True,
-    )
+    blob = json.dumps(config_fields(backbone_cfg, agg_cfg), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -108,15 +114,22 @@ def encode_mel(mel: MelSpectrogram, params) -> np.ndarray:
     return glu_gated_conv(h, params["glu.kernels"], params["glu.bias"])
 
 
+def _check_aligned(h_query, h_kv):
+    # Mel and F0 share one framing, so every stream has the same T; a
+    # difference is a framing bug, not something to trim away.
+    if h_query.shape[0] != h_kv.shape[0]:
+        raise ShapeMismatch("stage query has %d frames, keys %d" % (h_query.shape[0], h_kv.shape[0]))
+
+
 def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt"):
     """One aggregation level: project q/k/v, attend, no residual.
 
-    Inputs are truncated to the shorter sequence; returns (output, trace).
+    Both inputs must have the same frame count; returns (output, trace).
     """
-    t = min(h_query.shape[0], h_kv.shape[0])
-    q = affine(h_query[:t], params["wq"], params["bq"])
-    k = affine(h_kv[:t], params["wk"], params["bk"])
-    v = affine(h_kv[:t], params["wv"], params["bv"])
+    _check_aligned(h_query, h_kv)
+    q = affine(h_query, params["wq"], params["bq"])
+    k = affine(h_kv, params["wk"], params["bk"])
+    v = affine(h_kv, params["wv"], params["bv"])
     trace = scaled_dot_attention(q, k, v, scale_mode)
     return trace.output, trace
 
@@ -133,10 +146,9 @@ def level2_attention(h_query, h_ca1, params, scale_mode="sqrt"):
     return out
 
 
-def cross_attention_stage_backward(h_query, h_kv, params, d_out, scale_mode="sqrt"):
+def cross_attention_stage_backward(hq, hk, params, d_out, scale_mode="sqrt"):
     """Gradients of sum(stage_output * d_out) w.r.t. the stage projections."""
-    t = min(h_query.shape[0], h_kv.shape[0])
-    hq, hk = h_query[:t], h_kv[:t]
+    _check_aligned(hq, hk)
     q = affine(hq, params["wq"], params["bq"])
     k = affine(hk, params["wk"], params["bk"])
     v = affine(hk, params["wv"], params["bv"])
@@ -175,30 +187,22 @@ def split_and_fuse_backward(h, tokens, heads, params, d_out):
     return grads
 
 
-def _group(params, prefix):
-    sub = {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
-    if not sub:
-        raise ShapeMismatch("no parameters under %r" % prefix)
-    return sub
+def _encode(cue, mel, contour, params):
+    p = param_group(params, ENCODERS[cue])
+    return encode_f0(contour, p) if cue == "f0" else encode_mel(mel, p)
 
 
 def aggregate(h_sv, z, mel, contour, params, cfg: AggregationConfig):
     """Mode dispatch over already-computed intermediate representations."""
-    if cfg.mode == "SE":
+    cues = cfg.cues
+    if not cues:
         return z
     sm = cfg.scale_mode
-    if cfg.mode == "SE_F0":
-        h = level1_attention(h_sv, encode_f0(contour, _group(params, "f0_enc.")), _group(params, "level1."), sm)
-    elif cfg.mode == "SE_ME":
-        h = level1_attention(h_sv, encode_mel(mel, _group(params, "mel_enc.")), _group(params, "level1."), sm)
-    elif cfg.mode == "SE_F0_then_ME":
-        h1 = level1_attention(h_sv, encode_f0(contour, _group(params, "f0_enc.")), _group(params, "level1."), sm)
-        h = level2_attention(encode_mel(mel, _group(params, "mel_enc.")), h1, _group(params, "level2."), sm)
-    else:  # SE_ME_then_F0
-        h1 = level1_attention(h_sv, encode_mel(mel, _group(params, "mel_enc.")), _group(params, "level1."), sm)
-        h = level2_attention(encode_f0(contour, _group(params, "f0_enc.")), h1, _group(params, "level2."), sm)
+    h = level1_attention(h_sv, _encode(cues[0], mel, contour, params), param_group(params, "level1"), sm)
+    if len(cues) == 2:
+        h = level2_attention(_encode(cues[1], mel, contour, params), h, param_group(params, "level2"), sm)
     if cfg.splitting:
-        return split_and_fuse(h, params["tokens"], cfg.heads, _group(params, "fuse."))
+        return split_and_fuse(h, params["tokens"], cfg.heads, param_group(params, "fuse"))
     return h.mean(axis=0)
 
 
@@ -211,9 +215,9 @@ def extract_embedding(buf: AudioBuffer, store, backbone_cfg: BackboneConfig, agg
     if buf.sample_rate_hz != CANONICAL_RATE:
         buf = resample(buf, CANONICAL_RATE)
     mel = mel_spectrogram(buf)
-    contour = yin_f0(buf) if agg_cfg.uses_f0 else None
-    bb = backbone_forward(mel, store.group("backbone"), backbone_cfg)
-    vec = aggregate(bb.frame_states, bb.pooled, mel, contour, store.group("agg"), agg_cfg)
+    contour = yin_f0(buf) if "f0" in agg_cfg.cues else None
+    bb = backbone_forward(mel, param_group(store.entries, "backbone"), backbone_cfg)
+    vec = aggregate(bb.frame_states, bb.pooled, mel, contour, param_group(store.entries, "agg"), agg_cfg)
     return SpeakerEmbedding(vec, agg_cfg.mode, config_hash(backbone_cfg, agg_cfg))
 
 

@@ -6,13 +6,13 @@ the per-frame states H, and channel-dependent attentive statistics
 pooling giving the utterance-level vector z.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dsp import MelSpectrogram
-from .errors import IndivisibleScale, ShapeMismatch
-from .nn import affine, conv1d, relu, sigmoid, softmax_rows
+from .errors import IndivisibleScale
+from .nn import affine, conv1d, param_group, relu, sigmoid, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -20,15 +20,17 @@ class BackboneConfig:
     in_dim: int = 80
     channels: int = 64          # paper scale: 512
     scale: int = 8
-    n_blocks: int = 3
-    dilations: tuple = (2, 3, 4)
+    dilations: tuple = (2, 3, 4)  # one SE-Res2 block per dilation
     d_model: int = 192
 
     def __post_init__(self):
+        object.__setattr__(self, "dilations", tuple(self.dilations))
         if self.channels % self.scale:
             raise IndivisibleScale("channels=%d not divisible by scale=%d" % (self.channels, self.scale))
-        if self.n_blocks != len(self.dilations):
-            raise ShapeMismatch("n_blocks != len(dilations)")
+
+    @property
+    def n_blocks(self):
+        return len(self.dilations)
 
     @property
     def bottleneck(self):
@@ -68,7 +70,7 @@ def res2_block(x, dilation, params, scale=8):
         gi = h[:, i * g : (i + 1) * g]
         ys.append(relu(conv1d(gi + ys[-1], params["group%d.kernels" % (i + 1)], dilation)))
     h = affine(np.concatenate(ys, axis=1), params["conv_out.weight"], params["conv_out.bias"])
-    return se_block(h, {k[3:]: v for k, v in params.items() if k.startswith("se.")}) + x
+    return se_block(h, param_group(params, "se")) + x
 
 
 def attentive_stats_pooling(h, params):
@@ -87,11 +89,10 @@ def backbone_forward(mel: MelSpectrogram, params, cfg: BackboneConfig = Backbone
     x = relu(affine(mel.frames, params["conv_in.weight"], params["conv_in.bias"]))
     block_outs = []
     for i, dil in enumerate(cfg.dilations):
-        prefix = "block%d." % (i + 1)
-        x = res2_block(x, dil, {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}, cfg.scale)
+        x = res2_block(x, dil, param_group(params, "block%d" % (i + 1)), cfg.scale)
         block_outs.append(x)
     agg = affine(np.concatenate(block_outs, axis=1), params["mfa.weight"], params["mfa.bias"])
     frame_states = affine(agg, params["proj_frames.weight"], params["proj_frames.bias"])
-    stats = attentive_stats_pooling(agg, {k[5:]: v for k, v in params.items() if k.startswith("pool.")})
+    stats = attentive_stats_pooling(agg, param_group(params, "pool"))
     pooled = affine(stats[None, :], params["proj_pooled.weight"], params["proj_pooled.bias"])[0]
     return BackboneOutput(frame_states, pooled)

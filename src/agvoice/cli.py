@@ -15,59 +15,46 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import aggregation, dsp, evaluation, weights
-from .aggregation import AggregationConfig
+from .aggregation import MODES, AggregationConfig
 from .audio_io import AudioBuffer, decode_wav
 from .backbone import BackboneConfig
 from .errors import AgvError, ConfigError, InputError
-from .nn import gradcheck, scaled_dot_attention, attention_backward
+from .nn import SCALE_MODES, gradcheck, scaled_dot_attention, attention_backward
 
-MODE_FLAGS = {
-    "se": "SE",
-    "se+f0": "SE_F0",
-    "se+me": "SE_ME",
-    "se+f0+me": "SE_F0_then_ME",
-    "se+me+f0": "SE_ME_then_F0",
+MODE_FLAGS = {"+".join(("se",) + cues): mode for mode, cues in MODES.items()}
+
+# Config field -> (flag, argparse options). A field without a flag, and a
+# flag left out, keeps the dataclass default.
+CONFIG_FLAGS = {
+    "mode": ("--mode", dict(choices=sorted(MODE_FLAGS))),
+    "splitting": ("--no-split", dict(action="store_false")),
+    "n_tokens": ("--tokens", dict(type=int, metavar="N")),
+    "heads": ("--heads", dict(type=int, metavar="H")),
+    "d_model": ("--dmodel", dict(type=int, metavar="D")),
+    "channels": ("--channels", dict(type=int, metavar="C")),
+    "scale_mode": ("--scale-mode", dict(choices=SCALE_MODES)),
 }
 
 
 def _add_config_flags(p):
-    p.add_argument("--mode", choices=sorted(MODE_FLAGS), default=None)
-    p.add_argument("--no-split", action="store_true", default=None)
-    p.add_argument("--tokens", type=int, default=None, metavar="N")
-    p.add_argument("--heads", type=int, default=None, metavar="H")
-    p.add_argument("--dmodel", type=int, default=None, metavar="D")
-    p.add_argument("--channels", type=int, default=None, metavar="C")
-    p.add_argument("--scale-mode", choices=["sqrt", "linear"], default=None)
+    for name, (flag, opts) in CONFIG_FLAGS.items():
+        p.add_argument(flag, dest=name, default=None, **opts)
 
 
-def _configs_from_args(args):
-    d = args.dmodel if args.dmodel is not None else 192
-    bb = BackboneConfig(channels=args.channels if args.channels is not None else 64, d_model=d)
-    agg = AggregationConfig(
-        mode=MODE_FLAGS[args.mode] if args.mode is not None else "SE_F0_then_ME",
-        splitting=not args.no_split,
-        n_tokens=args.tokens if args.tokens is not None else 8,
-        heads=args.heads if args.heads is not None else 4,
-        d_model=d,
-        scale_mode=args.scale_mode if args.scale_mode is not None else "sqrt",
-    )
-    return bb, agg
+def _given_fields(args):
+    """The config fields set by flag, with dataclass values."""
+    given = {name: getattr(args, name) for name in CONFIG_FLAGS if getattr(args, name) is not None}
+    if "mode" in given:
+        given["mode"] = MODE_FLAGS[given["mode"]]
+    return given
 
 
-def _check_flag_conflicts(args, cfg):
+def _check_flag_conflicts(args, bb, agg):
     """Any explicitly given flag must agree with the weight file's config."""
-    checks = {
-        "mode": (None if args.mode is None else MODE_FLAGS[args.mode], cfg["mode"]),
-        "no-split": (None if args.no_split is None else not args.no_split, cfg["splitting"]),
-        "tokens": (args.tokens, cfg["n_tokens"]),
-        "heads": (args.heads, cfg["heads"]),
-        "dmodel": (args.dmodel, cfg["d_model"]),
-        "channels": (args.channels, cfg["channels"]),
-        "scale-mode": (args.scale_mode, cfg["scale_mode"]),
-    }
-    for flag, (given, stored) in checks.items():
-        if given is not None and given != stored:
-            raise ConfigError("--%s=%s conflicts with weight file (%s)" % (flag, given, stored))
+    stored = aggregation.config_fields(bb, agg)
+    for name, given in _given_fields(args).items():
+        if given != stored[name]:
+            raise ConfigError("%s=%s conflicts with weight file (%s)" % (CONFIG_FLAGS[name][0], given, stored[name]))
 
 
 def _atomic_write(path, data):
@@ -122,7 +109,7 @@ def _read_manifest(path):
 
 
 def cmd_init(args):
-    bb, agg = _configs_from_args(args)
+    bb, agg = aggregation.configs_from_fields(_given_fields(args))
     store = weights.init_params(bb, agg, args.seed)
     weights.save(store, args.out)
     print("wrote %s (%d tensors, seed %d)" % (args.out, len(store.entries), args.seed))
@@ -143,8 +130,8 @@ def cmd_inspect(args):
 
 def cmd_embed(args):
     store = weights.load(args.weights)
-    bb, agg = weights.configs_from_dict(store.meta["config"])
-    _check_flag_conflicts(args, store.meta["config"])
+    bb, agg = weights.configs_from_dict(store.meta.get("config"))
+    _check_flag_conflicts(args, bb, agg)
     weights.check_params(store, bb, agg)
     records = _read_manifest(args.manifest)
     os.makedirs(args.out, exist_ok=True)
@@ -242,28 +229,28 @@ def _load_index_embeddings(index_path):
     return embs
 
 
+def _pooled_matrix(embs, key):
+    """Cosine matrix between per-group mean embeddings, groups by `entry[key]`, sorted."""
+    groups = {}
+    for entry, emb in embs:
+        groups.setdefault(entry[key], []).append(emb.vector)
+    labels = sorted(groups)
+    vecs = [np.mean(groups[label], axis=0) for label in labels]
+    return evaluation.cross_similarity(vecs, vecs, labels, labels)
+
+
 def cmd_simmatrix(args):
     embs = _load_index_embeddings(args.index)
     key = {"speaker": "speaker_id", "language": "language"}.get(args.group_by)
     if key:
-        groups = {}
-        for entry, emb in embs:
-            groups.setdefault(entry[key], []).append(emb.vector)
-        labels = sorted(groups)
-        vecs = [np.mean(groups[label], axis=0) for label in labels]
-        matrix = evaluation.cross_similarity(vecs, vecs, labels, labels)
+        matrix = _pooled_matrix(embs, key)
         dom = evaluation.diagonal_dominance(matrix)
     else:
         labels = [entry["utterance_id"] for entry, _ in embs]
         vecs = [emb.vector for _, emb in embs]
         matrix = evaluation.cross_similarity(vecs, vecs, labels, labels)
         # dominance needs one column per speaker: pool by speaker on the side
-        groups = {}
-        for entry, emb in embs:
-            groups.setdefault(entry["speaker_id"], []).append(emb.vector)
-        sp = sorted(groups)
-        pooled = [np.mean(groups[s], axis=0) for s in sp]
-        dom = evaluation.diagonal_dominance(evaluation.cross_similarity(pooled, pooled, sp, sp))
+        dom = evaluation.diagonal_dominance(_pooled_matrix(embs, "speaker_id"))
     _atomic_write(args.out + ".csv", evaluation.matrix_to_csv(matrix))
     _atomic_write(args.out + ".pgm", evaluation.matrix_to_pgm(matrix))
     print("diagonal_dominance %.6g" % dom)

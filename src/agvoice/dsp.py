@@ -105,11 +105,16 @@ def mel_to_hz(m):
     return np.where(above, 1000.0 * np.exp(logstep * (m - min_log_mel)), hz)
 
 
+def _mel_edges(params: MelParams) -> np.ndarray:
+    """n_mels + 2 band edges in Hz, evenly spaced on the mel scale."""
+    return mel_to_hz(np.linspace(hz_to_mel(params.fmin_hz), hz_to_mel(params.fmax_hz), params.n_mels + 2))
+
+
 def mel_filterbank(params: MelParams = MelParams()) -> np.ndarray:
     """n_mels x (n_fft/2+1) triangular filters, area-normalized (Slaney)."""
     n_bins = params.n_fft // 2 + 1
     fft_freqs = np.arange(n_bins) * params.sample_rate / params.n_fft
-    edges = mel_to_hz(np.linspace(hz_to_mel(params.fmin_hz), hz_to_mel(params.fmax_hz), params.n_mels + 2))
+    edges = _mel_edges(params)
 
     fb = np.zeros((params.n_mels, n_bins))
     for m in range(params.n_mels):
@@ -125,8 +130,7 @@ def mel_filterbank(params: MelParams = MelParams()) -> np.ndarray:
 
 def filter_centers_hz(params: MelParams = MelParams()) -> np.ndarray:
     """Center frequency of each mel filter, in Hz."""
-    edges = mel_to_hz(np.linspace(hz_to_mel(params.fmin_hz), hz_to_mel(params.fmax_hz), params.n_mels + 2))
-    return edges[1:-1]
+    return _mel_edges(params)[1:-1]
 
 
 def mel_spectrogram(buf: AudioBuffer, params: MelParams = MelParams()) -> MelSpectrogram:

@@ -13,9 +13,28 @@ import numpy as np
 from .errors import (
     EvenKernel,
     IndivisibleHeads,
+    MissingParameter,
     NonFiniteEvaluation,
     ShapeMismatch,
 )
+
+SCALE_MODES = ("sqrt", "linear")
+
+
+class _ParamView(dict):
+    def __missing__(self, key):
+        raise MissingParameter("missing parameter %r" % key)
+
+
+def param_group(params, prefix):
+    """All tensors named `prefix.<rest>`, keyed by `<rest>`.
+
+    Parameter names are dotted paths (`agg.level1.wq`); every layer reads
+    its own tensors through this one view, which raises MissingParameter
+    for a name that is not there.
+    """
+    p = prefix + "."
+    return _ParamView({k[len(p):]: v for k, v in params.items() if k.startswith(p)})
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import AggregationConfig, config_hash
+from .aggregation import ENCODERS, AggregationConfig, config_fields, config_hash, configs_from_fields
 from .backbone import BackboneConfig
 from .errors import (
     BadMagic,
@@ -26,11 +26,6 @@ WEIGHTS_MAGIC = b"AGVW0001"
 FORMAT_VERSION = 1
 
 
-class _ParamView(dict):
-    def __missing__(self, key):
-        raise MissingParameter("missing parameter %r" % key)
-
-
 @dataclass(frozen=True)
 class ParamStore:
     entries: dict
@@ -41,11 +36,6 @@ class ParamStore:
             return self.entries[name]
         except KeyError:
             raise MissingParameter("missing parameter %r" % name) from None
-
-    def group(self, prefix):
-        """All tensors under `prefix.`, keyed by the remainder of the name."""
-        p = prefix + "."
-        return _ParamView({k[len(p):]: v for k, v in self.entries.items() if k.startswith(p)})
 
     def names(self):
         return sorted(self.entries)
@@ -84,37 +74,28 @@ def param_shapes(bb: BackboneConfig, agg: AggregationConfig) -> dict:
         shapes[p + "se.w2"] = (b, c)
         shapes[p + "se.b2"] = (c,)
 
-    if agg.mode != "SE":
-        if agg.uses_f0:
-            shapes.update(
-                {
-                    "agg.f0_enc.fc1.weight": (2, d),
-                    "agg.f0_enc.fc1.bias": (d,),
-                    "agg.f0_enc.fc2.weight": (d, d),
-                    "agg.f0_enc.fc2.bias": (d,),
-                }
-            )
-        if agg.uses_mel_encoder:
-            shapes.update(
-                {
-                    "agg.mel_enc.fc1.weight": (bb.in_dim, d),
-                    "agg.mel_enc.fc1.bias": (d,),
-                    "agg.mel_enc.fc2.weight": (d, d),
-                    "agg.mel_enc.fc2.bias": (d,),
-                    "agg.mel_enc.glu.kernels": (2 * d, d, 3),
-                    "agg.mel_enc.glu.bias": (2 * d,),
-                }
-            )
-        levels = ["level1", "level2"] if agg.two_level else ["level1"]
-        for lvl in levels:
-            for w, bias in (("wq", "bq"), ("wk", "bk"), ("wv", "bv")):
-                shapes["agg.%s.%s" % (lvl, w)] = (d, d)
-                shapes["agg.%s.%s" % (lvl, bias)] = (d,)
-        if agg.splitting:
-            shapes["agg.tokens"] = (agg.n_tokens, d)
-            for w, bias in (("wq", "bq"), ("wk", "bk"), ("wv", "bv"), ("wo", "bo")):
-                shapes["agg.fuse.%s" % w] = (d, d)
-                shapes["agg.fuse.%s" % bias] = (d,)
+    encoder_shapes = {
+        "f0": {"fc1.weight": (2, d), "fc1.bias": (d,), "fc2.weight": (d, d), "fc2.bias": (d,)},
+        "me": {
+            "fc1.weight": (bb.in_dim, d),
+            "fc1.bias": (d,),
+            "fc2.weight": (d, d),
+            "fc2.bias": (d,),
+            "glu.kernels": (2 * d, d, 3),
+            "glu.bias": (2 * d,),
+        },
+    }
+    for level, cue in enumerate(agg.cues, 1):
+        for name, shape in encoder_shapes[cue].items():
+            shapes["agg.%s.%s" % (ENCODERS[cue], name)] = shape
+        for w, bias in (("wq", "bq"), ("wk", "bk"), ("wv", "bv")):
+            shapes["agg.level%d.%s" % (level, w)] = (d, d)
+            shapes["agg.level%d.%s" % (level, bias)] = (d,)
+    if agg.cues and agg.splitting:
+        shapes["agg.tokens"] = (agg.n_tokens, d)
+        for w, bias in (("wq", "bq"), ("wk", "bk"), ("wv", "bv"), ("wo", "bo")):
+            shapes["agg.fuse.%s" % w] = (d, d)
+            shapes["agg.fuse.%s" % bias] = (d,)
     return shapes
 
 
@@ -137,38 +118,20 @@ def _init_tensor(name, shape, seed, d_model):
 
 
 def _config_dict(bb: BackboneConfig, agg: AggregationConfig) -> dict:
-    return {
-        "in_dim": bb.in_dim,
-        "channels": bb.channels,
-        "scale": bb.scale,
-        "n_blocks": bb.n_blocks,
-        "dilations": list(bb.dilations),
-        "d_model": bb.d_model,
-        "mode": agg.mode,
-        "splitting": agg.splitting,
-        "n_tokens": agg.n_tokens,
-        "heads": agg.heads,
-        "scale_mode": agg.scale_mode,
-    }
+    # n_blocks is derived, but the file format has always carried it
+    return {**config_fields(bb, agg), "n_blocks": bb.n_blocks}
 
 
 def configs_from_dict(cfg: dict):
-    bb = BackboneConfig(
-        in_dim=cfg["in_dim"],
-        channels=cfg["channels"],
-        scale=cfg["scale"],
-        n_blocks=cfg["n_blocks"],
-        dilations=tuple(cfg["dilations"]),
-        d_model=cfg["d_model"],
-    )
-    agg = AggregationConfig(
-        mode=cfg["mode"],
-        splitting=cfg["splitting"],
-        n_tokens=cfg["n_tokens"],
-        heads=cfg["heads"],
-        d_model=cfg["d_model"],
-        scale_mode=cfg["scale_mode"],
-    )
+    """(BackboneConfig, AggregationConfig) from a weight file's `config`."""
+    if not isinstance(cfg, dict):
+        raise InvalidConfig("weight file has no config object")
+    missing = sorted(set(_config_dict(BackboneConfig(), AggregationConfig())) - set(cfg))
+    if missing:
+        raise InvalidConfig("weight-file config lacks %s" % ", ".join(missing))
+    bb, agg = configs_from_fields(cfg)
+    if cfg["n_blocks"] != bb.n_blocks:
+        raise InvalidConfig("n_blocks=%s but %d dilations" % (cfg["n_blocks"], bb.n_blocks))
     return bb, agg
 
 

@@ -21,8 +21,8 @@ from agvoice.aggregation import (
 )
 from agvoice.backbone import BackboneConfig, backbone_forward
 from agvoice.dsp import F0Contour, MelSpectrogram, mel_spectrogram
-from agvoice.errors import EmptyContour
-from agvoice.nn import affine, glu_gated_conv, gradcheck, relu, scaled_dot_attention
+from agvoice.errors import EmptyContour, ShapeMismatch
+from agvoice.nn import affine, glu_gated_conv, gradcheck, param_group, relu, scaled_dot_attention
 from agvoice.weights import init_params
 from conftest import sine
 from oracles import loop_attention, loop_mha, reference_embedding
@@ -168,11 +168,16 @@ class TestAttentionLevels:
             )
             assert np.max(np.abs(out - ref)) < 1e-12
 
-    def test_truncates_to_min_length(self, rng):
+    def test_unequal_lengths_rejected(self, rng):
+        # the shared framing makes every stream the same length, so a
+        # mismatch is a bug to report, not a tail to trim
         d = 4
         p = stage_params(rng, d)
-        out = level1_attention(rng.standard_normal((6, d)), rng.standard_normal((4, d)), p)
-        assert out.shape == (4, d)
+        hq, hkv = rng.standard_normal((6, d)), rng.standard_normal((4, d))
+        with pytest.raises(ShapeMismatch):
+            level1_attention(hq, hkv, p)
+        with pytest.raises(ShapeMismatch):
+            cross_attention_stage_backward(hq, hkv, p, np.ones((6, d)))
 
     def test_rows_convex_in_projected_values(self, rng):
         d = 5
@@ -239,7 +244,7 @@ class TestExtractEmbedding:
         agg, store = get("SE")
         emb = extract_embedding(buf, store, bb_cfg, agg)
         mel = mel_spectrogram(buf)
-        z = backbone_forward(mel, store.group("backbone"), bb_cfg).pooled
+        z = backbone_forward(mel, param_group(store.entries, "backbone"), bb_cfg).pooled
         assert np.array_equal(emb.vector, z)
 
     def test_all_modes_finite_same_shape(self, setup):

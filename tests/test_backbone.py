@@ -10,6 +10,7 @@ from agvoice.backbone import (
 )
 from agvoice.dsp import MelSpectrogram
 from agvoice.errors import IndivisibleScale
+from agvoice.nn import param_group
 from agvoice.weights import init_params
 from conftest import SR
 from oracles import loop_asp, loop_backbone, loop_res2, loop_se
@@ -140,7 +141,7 @@ class TestBackboneForward:
         cfg = BackboneConfig(channels=16, d_model=8)
         store = self._store(cfg)
         mel = MelSpectrogram(rng.standard_normal((13, 80)))
-        out = backbone_forward(mel, store.group("backbone"), cfg)
+        out = backbone_forward(mel, param_group(store.entries, "backbone"), cfg)
         assert out.frame_states.shape == (13, 8)
         assert out.pooled.shape == (8,)
 
@@ -148,8 +149,8 @@ class TestBackboneForward:
         cfg = BackboneConfig(channels=16, d_model=8)
         store = self._store(cfg)
         mel = MelSpectrogram(np.zeros((5, 80)))
-        a = backbone_forward(mel, store.group("backbone"), cfg)
-        b = backbone_forward(mel, store.group("backbone"), cfg)
+        a = backbone_forward(mel, param_group(store.entries, "backbone"), cfg)
+        b = backbone_forward(mel, param_group(store.entries, "backbone"), cfg)
         assert np.isfinite(a.pooled).all()
         assert np.array_equal(a.pooled, b.pooled)
         assert np.array_equal(a.frame_states, b.frame_states)
@@ -158,8 +159,8 @@ class TestBackboneForward:
         cfg = BackboneConfig(channels=16, d_model=8)
         store = self._store(cfg, seed=11)
         mel = MelSpectrogram(rng.standard_normal((5, 80)))
-        out = backbone_forward(mel, store.group("backbone"), cfg)
-        ref_states, ref_pooled = loop_backbone(mel.frames, dict(store.group("backbone")), cfg)
+        out = backbone_forward(mel, param_group(store.entries, "backbone"), cfg)
+        ref_states, ref_pooled = loop_backbone(mel.frames, dict(param_group(store.entries, "backbone")), cfg)
         assert np.max(np.abs(out.frame_states - ref_states)) < 1e-9
         assert np.max(np.abs(out.pooled - ref_pooled)) < 1e-9
 
@@ -167,6 +168,6 @@ class TestBackboneForward:
         cfg = BackboneConfig(channels=16, d_model=8)
         store = self._store(cfg)
         before = {k: v.copy() for k, v in store.entries.items()}
-        backbone_forward(MelSpectrogram(rng.standard_normal((6, 80))), store.group("backbone"), cfg)
+        backbone_forward(MelSpectrogram(rng.standard_normal((6, 80))), param_group(store.entries, "backbone"), cfg)
         for k, v in before.items():
             assert np.array_equal(store.entries[k], v)

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -107,6 +108,30 @@ class TestEmbed:
         bad = tmp_path / "bad.agvw"
         bad.write_bytes(weights_file.read_bytes()[:-20])
         assert main(["embed", str(manifest), "--weights", str(bad), "--out", str(tmp_path / "x")]) == 3
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: meta["config"].update(n_blocks=4),
+            lambda meta: meta["config"].update(mode="SE_XX"),
+            lambda meta: meta["config"].update(scale_mode="cube"),
+            lambda meta: meta.pop("config"),
+            lambda meta: meta["config"].pop("heads"),
+        ],
+        ids=["n_blocks_vs_dilations", "unknown_mode", "unknown_scale_mode", "no_config", "no_heads"],
+    )
+    def test_bad_header_config_exit_3(self, tmp_path, weights_file, manifest, capsys, edit):
+        blob = weights_file.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12 : 12 + hlen])
+        edit(header["meta"])
+        edited = json.dumps(header).encode()
+        bad = tmp_path / "bad.agvw"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + hlen :])
+        capsys.readouterr()
+        assert main(["embed", str(manifest), "--weights", str(bad), "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
 
     def test_keep_going_skips_bad_file(self, tmp_path, weights_file, manifest):
         lines = manifest.read_text().strip().split("\n")

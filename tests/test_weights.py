@@ -14,6 +14,7 @@ from agvoice.errors import (
     MissingParameter,
     TruncatedPayload,
 )
+from agvoice.nn import param_group
 from agvoice.weights import (
     ParamStore,
     check_params,
@@ -162,4 +163,4 @@ def test_missing_parameter_error(cfgs):
     with pytest.raises(MissingParameter):
         store["backbone.nonexistent"]
     with pytest.raises(MissingParameter):
-        store.group("agg")["nonexistent"]
+        param_group(store.entries, "agg")["nonexistent"]
