@@ -6,7 +6,7 @@ from .aggregation import (
     SpeakerEmbedding,
     extract_embedding,
 )
-from .audio_io import AudioBuffer, canonicalize, decode_wav, resample
+from .audio_io import AudioBuffer, decode_wav, resample
 from .backbone import BackboneConfig, backbone_forward
 from .dsp import F0Contour, MelSpectrogram, mel_spectrogram, yin_f0
 from .evaluation import SimilarityMatrix, abx_select, cosine, cross_similarity, diagonal_dominance
@@ -23,7 +23,6 @@ __all__ = [
     "SpeakerEmbedding",
     "abx_select",
     "backbone_forward",
-    "canonicalize",
     "check_params",
     "cosine",
     "cross_similarity",

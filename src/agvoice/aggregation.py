@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .audio_io import CANONICAL_RATE, AudioBuffer, resample
-from .backbone import BackboneConfig, backbone_forward
+from .backbone import BackboneConfig, backbone_forward, require_positive_int
 from .dsp import F0Contour, MelSpectrogram, mel_spectrogram, yin_f0
 from .errors import EmptyContour, IndivisibleHeads, InvalidConfig, ShapeMismatch
 from .nn import (
@@ -53,10 +53,14 @@ class AggregationConfig:
     scale_mode: str = "sqrt"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise InvalidConfig("unknown mode %r" % self.mode)
-        if self.scale_mode not in SCALE_MODES:
-            raise InvalidConfig("unknown scale_mode %r" % self.scale_mode)
+        if not isinstance(self.mode, str) or self.mode not in MODES:
+            raise InvalidConfig("unknown mode %r" % (self.mode,))
+        if not isinstance(self.scale_mode, str) or self.scale_mode not in SCALE_MODES:
+            raise InvalidConfig("unknown scale_mode %r" % (self.scale_mode,))
+        if not isinstance(self.splitting, bool):
+            raise InvalidConfig("splitting must be true or false, got %r" % (self.splitting,))
+        for name in ("n_tokens", "heads", "d_model"):
+            require_positive_int(name, getattr(self, name))
         if self.d_model % self.heads:
             raise IndivisibleHeads("d_model=%d vs heads=%d" % (self.d_model, self.heads))
 
@@ -209,7 +213,7 @@ def aggregate(h_sv, z, mel, contour, params, cfg: AggregationConfig):
 def extract_embedding(buf: AudioBuffer, store, backbone_cfg: BackboneConfig, agg_cfg: AggregationConfig) -> SpeakerEmbedding:
     """Raw audio -> speaker embedding for the configured mode.
 
-    The buffer is canonicalized to 22050 Hz if it is not already there.
+    The buffer is resampled to CANONICAL_RATE if it is not already there.
     `store` is a ParamStore (weights module).
     """
     if buf.sample_rate_hz != CANONICAL_RATE:
@@ -255,6 +259,8 @@ def embedding_to_bytes(emb: SpeakerEmbedding) -> bytes:
 def embedding_from_bytes(data: bytes, mode: str = "", cfg_hash: str = "") -> SpeakerEmbedding:
     if data[:8] != EMBEDDING_MAGIC:
         raise ShapeMismatch("bad embedding magic")
+    if len(data) < 12:
+        raise ShapeMismatch("truncated embedding header")
     (d,) = struct.unpack_from("<I", data, 8)
     vec = np.frombuffer(data[12 : 12 + 4 * d], dtype="<f4").astype(np.float64)
     if len(vec) != d:

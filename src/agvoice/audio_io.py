@@ -1,7 +1,7 @@
 """WAV decoding and band-limited resampling.
 
 Everything downstream assumes mono float64 samples in [-1, 1] at
-22050 Hz; this module gets arbitrary RIFF/WAVE input into that shape.
+CANONICAL_RATE; this module gets arbitrary RIFF/WAVE input into that shape.
 """
 
 import struct
@@ -46,7 +46,7 @@ def decode_wav(data: bytes) -> AudioBuffer:
 
     Accepts PCM 16-bit and IEEE float 32-bit, 1 or 2 channels. Stereo is
     averaged down to mono; PCM16 is scaled by 1/32768. The container's
-    sample rate is preserved (canonicalize with resample()).
+    sample rate is preserved; resample() brings it to CANONICAL_RATE.
     """
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedContainer("not a RIFF/WAVE container")
@@ -79,6 +79,8 @@ def decode_wav(data: bytes) -> AudioBuffer:
         samples = raw.astype(np.float64) / 32768.0
     elif audio_format == 3 and bits == 32:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % (4 * channels)], dtype="<f4")
+        if not np.isfinite(raw).all():
+            raise MalformedContainer("float32 data holds NaN or infinite samples")
         samples = np.clip(raw.astype(np.float64), -1.0, 1.0)
     else:
         raise UnsupportedEncoding("format=%d bits=%d not supported" % (audio_format, bits))
@@ -142,18 +144,3 @@ def resample(buf: AudioBuffer, target_hz: int) -> AudioBuffer:
         out[n] = np.einsum("ij,ij->i", xpad[idx], taps)
     return AudioBuffer(out, target_hz)
 
-
-def peak_normalize(buf: AudioBuffer, peak: float = 0.95) -> AudioBuffer:
-    """Scale so the maximum absolute sample equals `peak` (no-op on silence)."""
-    m = np.max(np.abs(buf.samples)) if len(buf) else 0.0
-    if m == 0.0:
-        return buf
-    return AudioBuffer(buf.samples * (peak / m), buf.sample_rate_hz)
-
-
-def canonicalize(buf: AudioBuffer, normalize: bool = False) -> AudioBuffer:
-    """Resample to 22050 Hz, optionally peak-normalize to 0.95."""
-    out = resample(buf, CANONICAL_RATE)
-    if normalize:
-        out = peak_normalize(out)
-    return out

@@ -10,20 +10,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import MelSpectrogram
-from .errors import IndivisibleScale
+from .dsp import N_MELS, MelSpectrogram
+from .errors import IndivisibleScale, InvalidConfig
 from .nn import affine, conv1d, param_group, relu, sigmoid, softmax_rows
+
+
+def require_positive_int(name, value):
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise InvalidConfig("%s must be a positive integer, got %r" % (name, value))
 
 
 @dataclass(frozen=True)
 class BackboneConfig:
-    in_dim: int = 80
+    in_dim: int = N_MELS        # fixed by the front end; weight files carry it
     channels: int = 64          # paper scale: 512
     scale: int = 8
     dilations: tuple = (2, 3, 4)  # one SE-Res2 block per dilation
     d_model: int = 192
 
     def __post_init__(self):
+        if self.in_dim != N_MELS:
+            raise InvalidConfig("in_dim=%r, but the front end gives %d mel bands" % (self.in_dim, N_MELS))
+        for name in ("channels", "scale", "d_model"):
+            require_positive_int(name, getattr(self, name))
+        if not isinstance(self.dilations, (list, tuple)) or not self.dilations:
+            raise InvalidConfig("dilations must be a non-empty list, got %r" % (self.dilations,))
+        for dilation in self.dilations:
+            require_positive_int("dilation", dilation)
         object.__setattr__(self, "dilations", tuple(self.dilations))
         if self.channels % self.scale:
             raise IndivisibleScale("channels=%d not divisible by scale=%d" % (self.channels, self.scale))

@@ -6,6 +6,7 @@ invariant violation. All randomness flows from --seed.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -16,9 +17,9 @@ import numpy as np
 
 from . import aggregation, dsp, evaluation, weights
 from .aggregation import MODES, AggregationConfig
-from .audio_io import AudioBuffer, decode_wav
+from .audio_io import CANONICAL_RATE, AudioBuffer, decode_wav, resample
 from .backbone import BackboneConfig
-from .errors import AgvError, ConfigError, InputError
+from .errors import AgvError, ConfigError, InputError, ShapeMismatch
 from .nn import SCALE_MODES, gradcheck, scaled_dot_attention, attention_backward
 
 MODE_FLAGS = {"+".join(("se",) + cues): mode for mode, cues in MODES.items()}
@@ -78,6 +79,26 @@ def _read_audio(path):
         raise InputError("cannot read %s: %s" % (path, e)) from None
 
 
+def _manifest_record(line, lineno):
+    """One manifest line as a record of string fields; `utterance_id` names a file in --out."""
+    try:
+        rec = json.loads(line)
+    except ValueError as e:
+        raise InputError("manifest line %d: %s" % (lineno, e)) from None
+    if not isinstance(rec, dict):
+        raise InputError("manifest line %d: not a JSON object" % lineno)
+    rec.setdefault("language", "")
+    for key in ("path", "utterance_id", "speaker_id", "language"):
+        if key not in rec:
+            raise InputError("manifest line %d: missing %r" % (lineno, key))
+        if not isinstance(rec[key], str):
+            raise InputError("manifest line %d: %r must be a string" % (lineno, key))
+    uid = rec["utterance_id"]
+    if uid in ("", ".", "..") or "/" in uid or "\\" in uid:
+        raise InputError("manifest line %d: utterance_id %r is not a plain file name" % (lineno, uid))
+    return rec
+
+
 def _read_manifest(path):
     records = []
     base = os.path.dirname(os.path.abspath(path))
@@ -87,14 +108,7 @@ def _read_manifest(path):
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    rec = json.loads(line)
-                except ValueError as e:
-                    raise InputError("manifest line %d: %s" % (i + 1, e)) from None
-                for key in ("path", "utterance_id", "speaker_id"):
-                    if key not in rec:
-                        raise InputError("manifest line %d: missing %r" % (i + 1, key))
-                rec.setdefault("language", "")
+                rec = _manifest_record(line, i + 1)
                 if not os.path.isabs(rec["path"]):
                     rec["path"] = os.path.join(base, rec["path"])
                 records.append(rec)
@@ -128,7 +142,19 @@ def cmd_inspect(args):
     return 0
 
 
+def _num_threads():
+    value = os.environ.get("AGV_NUM_THREADS", "1")
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError("AGV_NUM_THREADS=%r is not an integer >= 1" % value)
+    return n
+
+
 def cmd_embed(args):
+    n_workers = _num_threads()
     store = weights.load(args.weights)
     bb, agg = weights.configs_from_dict(store.meta.get("config"))
     _check_flag_conflicts(args, bb, agg)
@@ -140,29 +166,26 @@ def cmd_embed(args):
     def one(rec):
         buf = _read_audio(rec["path"])
         emb = aggregation.extract_embedding(buf, store, bb, agg)
+        # NaN fails the test too; the files store float32
+        if not (np.abs(emb.vector) <= np.finfo(np.float32).max).all():
+            raise ConfigError("embedding of %s is not finite in float32; the weights overflow" % rec["utterance_id"])
         fname = rec["utterance_id"] + ext
         if args.format == "json":
             _atomic_write(os.path.join(args.out, fname), aggregation.embedding_to_json(emb))
         else:
             _atomic_write(os.path.join(args.out, fname), aggregation.embedding_to_bytes(emb))
-        return fname, emb
+        return fname
 
-    n_workers = max(1, int(os.environ.get("AGV_NUM_THREADS", "1")))
-    entries, failures = [], []
-    results = []
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [(rec, pool.submit(one, rec)) for rec in records]
-        for rec, fut in futures:
-            results.append((rec, fut))
+            jobs = [pool.submit(one, rec).result for rec in records]
     else:
-        for rec in records:
-            results.append((rec, None))
-
-    cfg_hash = aggregation.config_hash(bb, agg)
-    for rec, fut in results:
+        # One worker runs in this thread: a pool thread raised peak RSS by ~6% (~50 MB) on 60 s clips.
+        jobs = [functools.partial(one, rec) for rec in records]
+    entries, failures = [], []
+    for rec, job in zip(records, jobs):
         try:
-            fname, emb = fut.result() if fut is not None else one(rec)
+            fname = job()
         except (AgvError, OSError) as e:
             if not args.keep_going:
                 raise
@@ -177,7 +200,7 @@ def cmd_embed(args):
             }
         )
     index = {
-        "config_hash": cfg_hash,
+        "config_hash": aggregation.config_hash(bb, agg),
         "mode": agg.mode,
         "d": agg.d_model,
         "format": args.format,
@@ -191,36 +214,61 @@ def cmd_embed(args):
 
 
 def cmd_mel(args):
-    mel = dsp.mel_spectrogram(_read_audio(args.audio))
+    mel = dsp.mel_spectrogram(resample(_read_audio(args.audio), CANONICAL_RATE))
     sys.stdout.write(dsp.mel_to_csv(mel))
     return 0
 
 
 def cmd_f0(args):
-    contour = dsp.yin_f0(_read_audio(args.audio))
+    contour = dsp.yin_f0(resample(_read_audio(args.audio), CANONICAL_RATE))
     sys.stdout.write(dsp.f0_to_csv(contour))
     return 0
 
 
-def _load_index_embeddings(index_path):
-    base = os.path.dirname(os.path.abspath(index_path))
+def _read_embedding_file(path, mode="", cfg_hash=""):
+    """A `.json` or binary embedding file; a bare `.emb` takes `mode`/`cfg_hash` from its index."""
+    try:
+        if path.endswith(".json"):
+            with open(path, encoding="utf-8") as f:
+                emb = aggregation.embedding_from_json(f.read())
+        else:
+            with open(path, "rb") as f:
+                emb = aggregation.embedding_from_bytes(f.read(), mode, cfg_hash)
+    except OSError as e:
+        raise InputError("cannot read %s: %s" % (path, e)) from None
+    except (ShapeMismatch, ValueError, KeyError, TypeError) as e:
+        raise InputError("bad embedding file %s: %s" % (path, e)) from None
+    if not np.isfinite(emb.vector).all():
+        raise InputError("embedding file %s holds non-finite values" % path)
+    return emb
+
+
+def _read_index(index_path):
     try:
         with open(index_path, encoding="utf-8") as f:
             index = json.load(f)
     except (OSError, ValueError) as e:
         raise InputError("cannot read index: %s" % e) from None
+    if not isinstance(index, dict) or not isinstance(index.get("entries"), list):
+        raise InputError("index has no entries list")
+    if isinstance(index.get("d"), bool) or not isinstance(index.get("d"), int):
+        raise InputError("index has no integer d")
+    for entry in index["entries"]:
+        if not isinstance(entry, dict) or not all(
+            isinstance(entry.get(key), str) for key in ("file", "utterance_id", "speaker_id", "language")
+        ):
+            raise InputError("index entry %r lacks a string file, utterance_id, speaker_id or language" % (entry,))
+    return index
+
+
+def _load_index_embeddings(index_path):
+    base = os.path.dirname(os.path.abspath(index_path))
+    index = _read_index(index_path)
     embs = []
     for entry in index["entries"]:
-        path = os.path.join(base, entry["file"])
-        try:
-            if entry["file"].endswith(".json"):
-                with open(path, encoding="utf-8") as f:
-                    emb = aggregation.embedding_from_json(f.read())
-            else:
-                with open(path, "rb") as f:
-                    emb = aggregation.embedding_from_bytes(f.read(), index.get("mode", ""), index.get("config_hash", ""))
-        except OSError as e:
-            raise InputError("cannot read %s: %s" % (path, e)) from None
+        emb = _read_embedding_file(
+            os.path.join(base, entry["file"]), index.get("mode", ""), index.get("config_hash", "")
+        )
         if len(emb.vector) != index["d"]:
             raise ConfigError("embedding %s has d=%d, index says %d" % (entry["file"], len(emb.vector), index["d"]))
         embs.append((entry, emb))
@@ -255,17 +303,6 @@ def cmd_simmatrix(args):
     _atomic_write(args.out + ".pgm", evaluation.matrix_to_pgm(matrix))
     print("diagonal_dominance %.6g" % dom)
     return 0
-
-
-def _read_embedding_file(path):
-    try:
-        if path.endswith(".json"):
-            with open(path, encoding="utf-8") as f:
-                return aggregation.embedding_from_json(f.read())
-        with open(path, "rb") as f:
-            return aggregation.embedding_from_bytes(f.read())
-    except OSError as e:
-        raise InputError("cannot read %s: %s" % (path, e)) from None
 
 
 def cmd_abx(args):
@@ -336,8 +373,6 @@ def _selftest_gradchecks(rng):
 
 
 def cmd_selftest(args):
-    from .audio_io import CANONICAL_RATE
-
     failures = []
     rng = np.random.default_rng(args.seed)
 

@@ -1,36 +1,29 @@
 """Acoustic front end: log-mel spectrogram and YIN pitch contour.
 
-Both views use the same framing (1024-sample window, hop 256, no center
-padding), so mel frames and F0 frames line up index-for-index. That
-alignment is what lets the aggregation stages cross-attend between them
-without any interpolation.
+Both views are fixed functions of a CANONICAL_RATE buffer with one
+framing (WIN-sample window, hop HOP, no center padding), so mel frames
+and F0 frames line up index-for-index. That alignment is what lets the
+aggregation stages cross-attend between them without any interpolation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioBuffer
-from .errors import DegenerateBand, TooShort
+from .audio_io import CANONICAL_RATE, AudioBuffer
+from .errors import RateOutOfRange, TooShort
 
-
-@dataclass(frozen=True)
-class MelParams:
-    n_fft: int = 1024
-    win_length: int = 1024
-    hop_length: int = 256
-    n_mels: int = 80
-    sample_rate: int = 22050
-    fmin_hz: float = 0.0
-    fmax_hz: float = 8000.0
+WIN = 1024  # analysis window, also the FFT size
+HOP = 256
+N_MELS = 80
+FMAX_HZ = 8000.0  # the mel bands span 0 Hz to FMAX_HZ
 
 
 @dataclass(frozen=True)
 class MelSpectrogram:
-    """T x n_mels matrix of natural-log mel magnitudes, floored at ln(1e-5)."""
+    """T x N_MELS matrix of natural-log mel magnitudes, floored at ln(1e-5)."""
 
     frames: np.ndarray
-    params: MelParams = field(default_factory=MelParams)
 
 
 @dataclass(frozen=True)
@@ -44,8 +37,6 @@ class F0Contour:
     f0_hz: np.ndarray
     voiced: np.ndarray
     cmnd_min: np.ndarray
-    hop_length: int = 256
-    win_length: int = 1024
 
     def __len__(self):
         return len(self.f0_hz)
@@ -61,26 +52,29 @@ YIN_UNVOICED_CMND = 0.5
 YIN_SILENCE_RMS = 1e-4
 
 
-def frame_count(n_samples: int, win_length: int = 1024, hop_length: int = 256) -> int:
-    if n_samples < win_length:
-        raise TooShort("need at least %d samples, got %d" % (win_length, n_samples))
-    return (n_samples - win_length) // hop_length + 1
+def frame_count(n_samples: int) -> int:
+    if n_samples < WIN:
+        raise TooShort("need at least %d samples, got %d" % (WIN, n_samples))
+    return (n_samples - WIN) // HOP + 1
 
 
-def _frames(x: np.ndarray, win: int, hop: int) -> np.ndarray:
-    n = frame_count(len(x), win, hop)
-    return np.lib.stride_tricks.sliding_window_view(x, win)[:: hop][:n]
+def _frames(buf: AudioBuffer) -> np.ndarray:
+    """The frame_count x WIN analysis frames of a CANONICAL_RATE buffer."""
+    if buf.sample_rate_hz != CANONICAL_RATE:
+        raise RateOutOfRange(
+            "features need %d Hz audio, got %d Hz; resample first" % (CANONICAL_RATE, buf.sample_rate_hz)
+        )
+    n = frame_count(len(buf))
+    return np.lib.stride_tricks.sliding_window_view(buf.samples, WIN)[::HOP][:n]
 
 
 def _periodic_hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft_magnitude(buf: AudioBuffer, params: MelParams = MelParams()) -> np.ndarray:
-    """Magnitude STFT: T x (n_fft/2 + 1), periodic Hann, no center padding."""
-    frames = _frames(buf.samples, params.win_length, params.hop_length)
-    window = _periodic_hann(params.win_length)
-    return np.abs(np.fft.rfft(frames * window, n=params.n_fft, axis=1))
+def stft_magnitude(buf: AudioBuffer) -> np.ndarray:
+    """Magnitude STFT: T x (WIN/2 + 1), periodic Hann, no center padding."""
+    return np.abs(np.fft.rfft(_frames(buf) * _periodic_hann(WIN), n=WIN, axis=1))
 
 
 def hz_to_mel(f):
@@ -105,39 +99,35 @@ def mel_to_hz(m):
     return np.where(above, 1000.0 * np.exp(logstep * (m - min_log_mel)), hz)
 
 
-def _mel_edges(params: MelParams) -> np.ndarray:
-    """n_mels + 2 band edges in Hz, evenly spaced on the mel scale."""
-    return mel_to_hz(np.linspace(hz_to_mel(params.fmin_hz), hz_to_mel(params.fmax_hz), params.n_mels + 2))
+def _mel_edges() -> np.ndarray:
+    """N_MELS + 2 band edges in Hz, evenly spaced on the mel scale."""
+    return mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(FMAX_HZ), N_MELS + 2))
 
 
-def mel_filterbank(params: MelParams = MelParams()) -> np.ndarray:
-    """n_mels x (n_fft/2+1) triangular filters, area-normalized (Slaney)."""
-    n_bins = params.n_fft // 2 + 1
-    fft_freqs = np.arange(n_bins) * params.sample_rate / params.n_fft
-    edges = _mel_edges(params)
+def mel_filterbank() -> np.ndarray:
+    """N_MELS x (WIN/2+1) triangular filters, area-normalized (Slaney)."""
+    n_bins = WIN // 2 + 1
+    fft_freqs = np.arange(n_bins) * CANONICAL_RATE / WIN
+    edges = _mel_edges()
 
-    fb = np.zeros((params.n_mels, n_bins))
-    for m in range(params.n_mels):
+    fb = np.zeros((N_MELS, n_bins))
+    for m in range(N_MELS):
         lo, ctr, hi = edges[m], edges[m + 1], edges[m + 2]
         up = (fft_freqs - lo) / (ctr - lo)
         down = (hi - fft_freqs) / (hi - ctr)
         tri = np.maximum(0.0, np.minimum(up, down))
         fb[m] = tri * (2.0 / (hi - lo))
-    if np.any(fb.max(axis=1) <= 0.0):
-        raise DegenerateBand("mel band with no positive FFT-bin weight; too many bands for this range")
     return fb
 
 
-def filter_centers_hz(params: MelParams = MelParams()) -> np.ndarray:
+def filter_centers_hz() -> np.ndarray:
     """Center frequency of each mel filter, in Hz."""
-    return _mel_edges(params)[1:-1]
+    return _mel_edges()[1:-1]
 
 
-def mel_spectrogram(buf: AudioBuffer, params: MelParams = MelParams()) -> MelSpectrogram:
-    """ln(max(filterbank @ |STFT|, 1e-5)), shape T x n_mels."""
-    mag = stft_magnitude(buf, params)
-    fb = mel_filterbank(params)
-    return MelSpectrogram(np.log(np.maximum(mag @ fb.T, MEL_FLOOR)), params)
+def mel_spectrogram(buf: AudioBuffer) -> MelSpectrogram:
+    """ln(max(filterbank @ |STFT|, 1e-5)), shape T x N_MELS."""
+    return MelSpectrogram(np.log(np.maximum(stft_magnitude(buf) @ mel_filterbank().T, MEL_FLOOR)))
 
 
 def _difference_function(frame: np.ndarray, tau_max: int) -> np.ndarray:
@@ -162,26 +152,20 @@ def _cmnd(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def yin_f0(
-    buf: AudioBuffer,
-    fmin: float = YIN_FMIN,
-    fmax: float = YIN_FMAX,
-    threshold: float = YIN_THRESHOLD,
-) -> F0Contour:
-    """YIN pitch per frame (hop 256, window 1024, mel-aligned framing).
+def yin_f0(buf: AudioBuffer) -> F0Contour:
+    """YIN pitch per frame, on the mel framing.
 
-    Per frame: difference function for lags 1..512, cumulative-mean
+    Per frame: difference function for lags 1..WIN/2, cumulative-mean
     normalization, absolute-threshold pick of the first local minimum
-    below `threshold` in the [sr/fmax, sr/fmin] lag band, parabolic
-    refinement. Falls back to the band's global minimum; a frame is
-    unvoiced when that minimum exceeds 0.5 or the frame RMS is under 1e-4.
+    below YIN_THRESHOLD in the [sr/YIN_FMAX, sr/YIN_FMIN] lag band,
+    parabolic refinement. Falls back to the band's global minimum; a frame
+    is unvoiced when that minimum exceeds 0.5 or the frame RMS is under 1e-4.
     """
-    sr = buf.sample_rate_hz
-    win, hop = 1024, 256
-    frames = _frames(buf.samples, win, hop)
-    tau_max = win // 2
-    tau_lo = max(2, int(np.ceil(sr / fmax)))
-    tau_hi = min(tau_max - 1, int(np.floor(sr / fmin)))
+    sr = CANONICAL_RATE
+    frames = _frames(buf)
+    tau_max = WIN // 2
+    tau_lo = max(2, int(np.ceil(sr / YIN_FMAX)))
+    tau_hi = min(tau_max - 1, int(np.floor(sr / YIN_FMIN)))
 
     n = len(frames)
     f0 = np.zeros(n)
@@ -196,7 +180,7 @@ def yin_f0(
 
         band = dp[tau_lo : tau_hi + 1]
         below = np.flatnonzero(
-            (band < threshold)
+            (band < YIN_THRESHOLD)
             & (band <= np.roll(dp, -1)[tau_lo : tau_hi + 1])
             & (band <= np.roll(dp, 1)[tau_lo : tau_hi + 1])
         )
@@ -216,10 +200,10 @@ def yin_f0(
         else:
             shift = 0.0
         freq = sr / (tau + shift)
-        f0[t] = float(np.clip(freq, fmin, fmax))
+        f0[t] = float(np.clip(freq, YIN_FMIN, YIN_FMAX))
         voiced[t] = True
 
-    return F0Contour(f0, voiced, cmnd_min, hop, win)
+    return F0Contour(f0, voiced, cmnd_min)
 
 
 def mel_to_csv(mel: MelSpectrogram) -> str:

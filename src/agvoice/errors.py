@@ -40,10 +40,6 @@ class TooShort(InputError):
     pass
 
 
-class DegenerateBand(ConfigError):
-    pass
-
-
 # nn kernels
 class ShapeMismatch(AgvError):
     pass

@@ -1,9 +1,9 @@
 """Dense kernels the backbone and aggregation stages are built from.
 
 Everything is float64, pure, and deterministic. Attention keeps its
-softmax weights and logits around (AttentionTrace) so downstream code
-can assert convexity / inspect what got attended to, and so the analytic
-backward does not have to recompute them.
+softmax weights around (AttentionTrace) so downstream code can assert
+convexity / inspect what got attended to, and so the analytic backward
+does not have to recompute them.
 """
 
 from dataclasses import dataclass
@@ -41,7 +41,6 @@ def param_group(params, prefix):
 class AttentionTrace:
     output: np.ndarray   # Tq x d
     weights: np.ndarray  # Tq x Tk, rows sum to 1
-    logits: np.ndarray   # Tq x Tk
 
 
 def relu(x):
@@ -106,9 +105,8 @@ def scaled_dot_attention(q, k, v, scale_mode="sqrt") -> AttentionTrace:
     q, k, v = np.asarray(q), np.asarray(k), np.asarray(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
         raise ShapeMismatch("attention: Q %s K %s V %s" % (q.shape, k.shape, v.shape))
-    logits = (q @ k.T) / _scale(q.shape[1], scale_mode)
-    weights = softmax_rows(logits)
-    return AttentionTrace(weights @ v, weights, logits)
+    weights = softmax_rows((q @ k.T) / _scale(q.shape[1], scale_mode))
+    return AttentionTrace(weights @ v, weights)
 
 
 def attention_backward(trace: AttentionTrace, q, k, v, d_out, scale_mode="sqrt"):
@@ -203,7 +201,7 @@ def multi_head_attention_backward(q, k, v, heads, params, d_out):
     return grads, d_qp @ params["wq"].T, d_kp @ params["wk"].T, d_vp @ params["wv"].T
 
 
-def glu_gated_conv(x, kernels, bias, dilation=1):
+def glu_gated_conv(x, kernels, bias):
     """Gated linear unit over a same-padded conv.
 
     kernels: 2C x C x k, bias: 2C. The first C output channels are the
@@ -213,7 +211,7 @@ def glu_gated_conv(x, kernels, bias, dilation=1):
     c = x.shape[1]
     if kernels.shape[0] != 2 * c or bias.shape != (2 * c,):
         raise ShapeMismatch("glu: kernels %s bias %s for C=%d" % (kernels.shape, bias.shape, c))
-    y = conv1d(x, kernels, dilation) + bias
+    y = conv1d(x, kernels) + bias
     return y[:, :c] * sigmoid(y[:, c:])
 
 

@@ -208,7 +208,16 @@ def load(source) -> ParamStore:
         header = json.loads(data[12 : 12 + hlen])
     except ValueError as e:
         raise HeaderMismatch("unparseable header: %s" % e) from None
-    declared = sum(4 * int(np.prod(t["shape"], dtype=np.int64)) for t in header["tensors"])
+    if not isinstance(header, dict) or not isinstance(header.get("meta"), dict):
+        raise HeaderMismatch("header has no meta object")
+    try:
+        tensors = [(str(t["name"]), tuple(int(s) for s in t["shape"])) for t in header["tensors"]]
+    except (KeyError, TypeError, ValueError):
+        raise HeaderMismatch("header has no well-formed tensor list") from None
+    if any(s < 0 for _, shape in tensors for s in shape):
+        raise HeaderMismatch("negative tensor dimension")
+    counts = [int(np.prod(shape, dtype=np.int64)) for _, shape in tensors]
+    declared = 4 * sum(counts)
     if declared != header.get("payload_bytes"):
         raise HeaderMismatch(
             "tensor shapes imply %d payload bytes, header declares %s" % (declared, header.get("payload_bytes"))
@@ -219,12 +228,13 @@ def load(source) -> ParamStore:
     if len(payload) > declared:
         raise HeaderMismatch("payload is %d bytes, expected %d" % (len(payload), declared))
 
+    if not np.isfinite(np.frombuffer(payload, dtype="<f4")).all():
+        raise InvalidConfig("weight file holds non-finite values")
+
     entries = {}
     pos = 0
-    for t in header["tensors"]:
-        shape = tuple(int(s) for s in t["shape"])
-        count = int(np.prod(shape, dtype=np.int64))
+    for (name, shape), count in zip(tensors, counts):
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=pos).astype(np.float64)
-        entries[t["name"]] = arr.reshape(shape)
+        entries[name] = arr.reshape(shape)
         pos += 4 * count
     return ParamStore(entries, header["meta"])

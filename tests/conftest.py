@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,14 @@ def sine(freq, seconds=1.0, sr=SR, amp=0.5, phase=0.0):
 def sawtooth(freq, seconds=1.0, sr=SR, amp=0.5):
     t = np.arange(int(round(seconds * sr))) / sr
     return AudioBuffer(amp * (2.0 * ((t * freq) % 1.0) - 1.0), sr)
+
+
+def float32_wav(values, rate=SR):
+    """A mono IEEE float32 WAV byte string."""
+    payload = np.asarray(values, dtype="<f4").tobytes()
+    hdr = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+    hdr += b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, rate, rate * 4, 4, 32)
+    return hdr + b"data" + struct.pack("<I", len(payload)) + payload
 
 
 @pytest.fixture

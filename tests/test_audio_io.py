@@ -7,7 +7,6 @@ from agvoice.audio_io import (
     AudioBuffer,
     decode_wav,
     encode_wav_pcm16,
-    peak_normalize,
     resample,
 )
 from agvoice.errors import (
@@ -16,7 +15,7 @@ from agvoice.errors import (
     RateOutOfRange,
     UnsupportedEncoding,
 )
-from conftest import SR, sine
+from conftest import SR, float32_wav, sine
 
 
 def pcm16_wav(frames, rate=22050, channels=1):
@@ -47,6 +46,11 @@ class TestDecode:
         hdr += b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, 22050, 22050 * 4, 4, 32)
         buf = decode_wav(hdr + b"data" + struct.pack("<I", len(payload)) + payload)
         assert np.allclose(buf.samples, [0.25, -0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_float32_non_finite_rejected(self, bad):
+        with pytest.raises(MalformedContainer):
+            decode_wav(float32_wav([0.25, bad]))
 
     def test_bad_magic(self):
         with pytest.raises(MalformedContainer):
@@ -108,13 +112,6 @@ class TestResample:
             resample(sine(440.0, sr=8000), 2000)
         with pytest.raises(RateOutOfRange):
             resample(AudioBuffer(np.zeros(100), 1000), 22050)
-
-
-def test_peak_normalize():
-    buf = peak_normalize(AudioBuffer(np.array([0.1, -0.5]), SR))
-    assert np.allclose(np.max(np.abs(buf.samples)), 0.95)
-    silent = peak_normalize(AudioBuffer(np.zeros(8), SR))
-    assert not silent.samples.any()
 
 
 def test_buffer_immutable():

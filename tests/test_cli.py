@@ -4,8 +4,11 @@ import struct
 import numpy as np
 import pytest
 
+from agvoice import aggregation, weights
+from agvoice.audio_io import CANONICAL_RATE, decode_wav, resample
 from agvoice.cli import main
-from conftest import sine
+from agvoice.dsp import f0_to_csv, mel_spectrogram, mel_to_csv, yin_f0
+from conftest import float32_wav, sine
 
 
 @pytest.fixture
@@ -33,6 +36,40 @@ def read_all(outdir, names):
     return {n: (outdir / n).read_bytes() for n in names}
 
 
+def one_line(err, prefix):
+    return err.startswith(prefix) and err.count("\n") == 1
+
+
+def set_config(**changes):
+    """Header edit: change fields of the stored config."""
+
+    def edit(header):
+        header["meta"]["config"].update(changes)
+        return header
+
+    return edit
+
+
+def drop(*path):
+    """Header edit: delete the key at `path`."""
+
+    def edit(header):
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return header
+
+    return edit
+
+
+def negate_dims(header):
+    """Header edit: negate both dimensions of a matrix, which keeps its element count."""
+    tensor = next(t for t in header["tensors"] if len(t["shape"]) == 2)
+    tensor["shape"] = [-n for n in tensor["shape"]]
+    return header
+
+
 class TestInitInspect:
     def test_init_deterministic(self, tmp_path):
         a, b = tmp_path / "a.agvw", tmp_path / "b.agvw"
@@ -47,6 +84,17 @@ class TestInitInspect:
         main(["init", "--seed", "1", *common, "--out", str(a)])
         main(["init", "--seed", "2", *common, "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--heads", "0"], ["--heads", "-2"], ["--tokens", "0"], ["--dmodel", "0"], ["--channels", "0"], ["--channels", "-8"]],
+        ids=" ".join,
+    )
+    def test_init_non_positive_exit_3(self, tmp_path, capsys, flag):
+        out = tmp_path / "w.agvw"
+        assert main(["init", *flag, "--out", str(out)]) == 3
+        assert one_line(capsys.readouterr().err, "config error: ")
+        assert not out.exists()
 
     def test_inspect_lists_census(self, weights_file, capsys):
         assert main(["inspect", "--weights", str(weights_file)]) == 0
@@ -112,26 +160,123 @@ class TestEmbed:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda meta: meta["config"].update(n_blocks=4),
-            lambda meta: meta["config"].update(mode="SE_XX"),
-            lambda meta: meta["config"].update(scale_mode="cube"),
-            lambda meta: meta.pop("config"),
-            lambda meta: meta["config"].pop("heads"),
+            set_config(n_blocks=4),
+            set_config(mode="SE_XX"),
+            set_config(scale_mode="cube"),
+            drop("meta", "config"),
+            drop("meta", "config", "heads"),
+            set_config(heads="2"),
+            set_config(dilations=3),
+            set_config(dilations=[]),
+            set_config(heads=0),
+            set_config(heads=-2),
+            set_config(n_tokens=0),
+            set_config(channels=0),
+            set_config(splitting="yes"),
+            set_config(mode=["SE"]),
+            set_config(in_dim=40),
+            lambda header: [header],
+            drop("meta"),
+            drop("tensors"),
+            negate_dims,
         ],
-        ids=["n_blocks_vs_dilations", "unknown_mode", "unknown_scale_mode", "no_config", "no_heads"],
+        ids=[
+            "n_blocks_vs_dilations", "unknown_mode", "unknown_scale_mode", "no_config", "no_heads",
+            "heads_str", "dilations_int", "dilations_empty", "heads_zero", "heads_negative", "tokens_zero",
+            "channels_zero", "splitting_str", "mode_list", "in_dim_40", "header_not_object", "no_meta", "no_tensors",
+            "negative_dims",
+        ],
     )
     def test_bad_header_config_exit_3(self, tmp_path, weights_file, manifest, capsys, edit):
         blob = weights_file.read_bytes()
         (hlen,) = struct.unpack_from("<I", blob, 8)
-        header = json.loads(blob[12 : 12 + hlen])
-        edit(header["meta"])
-        edited = json.dumps(header).encode()
+        edited = json.dumps(edit(json.loads(blob[12 : 12 + hlen]))).encode()
         bad = tmp_path / "bad.agvw"
         bad.write_bytes(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + hlen :])
         capsys.readouterr()
         assert main(["embed", str(manifest), "--weights", str(bad), "--out", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert one_line(err, "config error: "), err
+
+    def test_non_finite_weights_exit_3(self, tmp_path, weights_file, manifest, capsys):
+        blob = bytearray(weights_file.read_bytes())
+        blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        bad = tmp_path / "nan.agvw"
+        bad.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["embed", str(manifest), "--weights", str(bad), "--out", str(tmp_path / "x")]) == 3
+        assert one_line(capsys.readouterr().err, "config error: ")
+
+    def test_overflowing_embedding_not_written(self, tmp_path, manifest, capsys):
+        path = tmp_path / "se.agvw"
+        common = ["--mode", "se", "--channels", "16", "--dmodel", "8", "--tokens", "2", "--heads", "2"]
+        assert main(["init", *common, "--out", str(path)]) == 0
+        store = weights.load(path)
+        store.entries["backbone.proj_pooled.weight"][:] = 3e38
+        weights.save(store, path)
+        out = tmp_path / "huge"
+        capsys.readouterr()
+        assert main(["embed", str(manifest), "--weights", str(path), "--out", str(out)]) == 3
+        assert one_line(capsys.readouterr().err, "config error: ")
+        assert not list(out.iterdir())
+
+    def test_nan_wav_exit_2(self, tmp_path, weights_file, capsys):
+        (tmp_path / "nan.wav").write_bytes(float32_wav(np.r_[np.zeros(4000), np.nan]))
+        manifest = tmp_path / "nan.jsonl"
+        manifest.write_text(json.dumps({"path": "nan.wav", "utterance_id": "n", "speaker_id": "s"}) + "\n")
+        out = tmp_path / "nan"
+        capsys.readouterr()
+        assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(out)]) == 2
+        assert one_line(capsys.readouterr().err, "error: ")
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"path": 3},
+            {"utterance_id": "../escaped"},
+            {"utterance_id": "a/b"},
+            {"utterance_id": "a\\b"},
+            {"utterance_id": ""},
+            {"utterance_id": ".."},
+            {"utterance_id": 7},
+            {"speaker_id": None},
+            {"language": ["xx"]},
+        ],
+        ids=["path_int", "id_parent", "id_slash", "id_backslash", "id_empty", "id_dotdot", "id_int", "speaker_null", "language_list"],
+    )
+    def test_bad_manifest_record_exit_2(self, tmp_path, weights_file, manifest, capsys, fields):
+        rec = {"path": "utt0.wav", "utterance_id": "u", "speaker_id": "s", "language": "xx", **fields}
+        manifest.write_text(manifest.read_text() + json.dumps(rec) + "\n")
+        out = tmp_path / "deep" / "out"
+        capsys.readouterr()
+        assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(out)]) == 2
+        assert one_line(capsys.readouterr().err, "error: ")
+        assert not (tmp_path / "deep").exists()
+
+    def test_manifest_line_not_object_exit_2(self, tmp_path, weights_file, capsys):
+        manifest = tmp_path / "list.jsonl"
+        manifest.write_text("3\n")
+        assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(tmp_path / "x")]) == 2
+        assert one_line(capsys.readouterr().err, "error: ")
+
+    @pytest.mark.parametrize("value", ["x", "0", "-1", "1.5", ""])
+    def test_bad_num_threads_exit_3(self, tmp_path, weights_file, manifest, capsys, monkeypatch, value):
+        monkeypatch.setenv("AGV_NUM_THREADS", value)
+        out = tmp_path / "t"
+        assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(out)]) == 3
+        assert one_line(capsys.readouterr().err, "config error: ")
+        assert not out.exists()
+
+    def test_pool_size_does_not_change_output(self, tmp_path, weights_file, manifest, monkeypatch):
+        names = ["utt0.json", "utt1.json", "utt2.json", "index.json"]
+        outputs = []
+        for n in ("1", "2"):
+            monkeypatch.setenv("AGV_NUM_THREADS", n)
+            out = tmp_path / ("pool" + n)
+            assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(out)]) == 0
+            outputs.append(read_all(out, names))
+        assert outputs[0] == outputs[1]
 
     def test_keep_going_skips_bad_file(self, tmp_path, weights_file, manifest):
         lines = manifest.read_text().strip().split("\n")
@@ -141,8 +286,9 @@ class TestEmbed:
         assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(out), "--keep-going"]) == 0
         index = json.loads((out / "index.json").read_text())
         assert len(index["entries"]) == 3
-        # without the flag the same manifest fails
+        # without the flag the same manifest fails and writes no index
         assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(tmp_path / "kg2")]) == 2
+        assert not (tmp_path / "kg2" / "index.json").exists()
 
     def test_binary_format(self, tmp_path, weights_file, manifest):
         out = tmp_path / "bin"
@@ -173,6 +319,17 @@ class TestDspCommands:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == (len(buf) - 1024) // 256 + 1
         assert len(lines[0].split(",")) == 80
+
+    @pytest.mark.parametrize(
+        "command, dump",
+        [("mel", lambda b: mel_to_csv(mel_spectrogram(b))), ("f0", lambda b: f0_to_csv(yin_f0(b)))],
+        ids=["mel", "f0"],
+    )
+    def test_dump_is_of_resampled_audio(self, wav_factory, capsys, command, dump):
+        path = wav_factory("tone16k.wav", sine(1000.0, seconds=0.5, sr=16000))
+        assert main([command, str(path)]) == 0
+        expected = dump(resample(decode_wav(path.read_bytes()), CANONICAL_RATE))
+        assert capsys.readouterr().out == expected
 
     def test_decode_failure_exit_2(self, tmp_path):
         bad = tmp_path / "bad.wav"
@@ -224,6 +381,65 @@ class TestSimmatrixAbx:
         csv = (tmp_path / "grp.csv").read_text().strip().split("\n")
         assert len(csv) == 3  # header + groups a, b
         assert "diagonal_dominance 1" in capsys.readouterr().out
+
+    @staticmethod
+    def write_emb_index(directory, edit_blob=lambda uid, blob: blob, **index_fields):
+        directory.mkdir()
+        entries = []
+        for uid, vec in (("a1", [1.0, 0.0]), ("b1", [0.0, 1.0])):
+            emb = aggregation.SpeakerEmbedding(np.array(vec), "SE", "0" * 16)
+            (directory / (uid + ".emb")).write_bytes(edit_blob(uid, aggregation.embedding_to_bytes(emb)))
+            entries.append({"utterance_id": uid, "speaker_id": uid[0], "language": "xx", "file": uid + ".emb"})
+        index = {"config_hash": "0" * 16, "mode": "SE", "d": 2, "format": "bin", "entries": entries, **index_fields}
+        (directory / "index.json").write_text(json.dumps({k: v for k, v in index.items() if v is not None}))
+        return directory / "index.json"
+
+    def test_emb_index(self, tmp_path, capsys):
+        index = self.write_emb_index(tmp_path / "emb")
+        assert main(["simmatrix", str(index), "--out", str(tmp_path / "sim")]) == 0
+        assert "diagonal_dominance 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "blob_edit, index_fields",
+        [
+            (lambda uid, blob: blob[:-3] if uid == "b1" else blob, {}),
+            (lambda uid, blob: blob[:10] if uid == "b1" else blob, {}),
+            (lambda uid, blob: blob, {"entries": None}),
+            (lambda uid, blob: blob, {"d": None}),
+            (lambda uid, blob: blob, {"d": "2"}),
+            (lambda uid, blob: blob, {"entries": [{"file": "a1.emb"}, {"file": "b1.emb"}]}),
+            (lambda uid, blob: blob, {"entries": ["a1.emb", "b1.emb"]}),
+        ],
+        ids=["truncated_emb", "truncated_emb_header", "no_entries", "no_d", "d_str", "entry_no_ids", "entry_not_object"],
+    )
+    def test_bad_index_exit_2(self, tmp_path, capsys, blob_edit, index_fields):
+        index = self.write_emb_index(tmp_path / "bad", blob_edit, **index_fields)
+        assert main(["simmatrix", str(index), "--out", str(tmp_path / "sim")]) == 2
+        assert one_line(capsys.readouterr().err, "error: ")
+        assert not (tmp_path / "sim.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{",
+            "[]",
+            '{"mode": "SE"}',
+            '{"mode": "SE", "d": 2, "config_hash": "", "values": ["a", 1]}',
+            '{"mode": "SE", "d": 2, "config_hash": "", "values": [NaN, 1]}',
+        ],
+        ids=["unparseable", "list", "no_values", "str_value", "nan_value"],
+    )
+    def test_bad_embedding_json_exit_2(self, index_dir, tmp_path, capsys, text):
+        (index_dir / "b2.json").write_text(text)
+        assert main(["simmatrix", str(index_dir / "index.json"), "--out", str(tmp_path / "sim")]) == 2
+        assert one_line(capsys.readouterr().err, "error: ")
+        assert main(["abx", "--reference", str(index_dir / "a1.json"), str(index_dir / "b1.json"), str(index_dir / "b2.json")]) == 2
+
+    def test_abx_truncated_emb_exit_2(self, tmp_path, capsys):
+        self.write_emb_index(tmp_path / "emb", lambda uid, blob: blob[:-3] if uid == "b1" else blob)
+        d = tmp_path / "emb"
+        assert main(["abx", "--reference", str(d / "a1.emb"), str(d / "a1.emb"), str(d / "b1.emb")]) == 2
+        assert one_line(capsys.readouterr().err, "error: ")
 
     def test_abx(self, index_dir, capsys):
         rc = main(["abx", "--reference", str(index_dir / "a1.json"), str(index_dir / "b1.json"), str(index_dir / "a2.json")])
