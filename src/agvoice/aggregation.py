@@ -25,6 +25,8 @@ from .nn import (
     multi_head_attention,
     multi_head_attention_backward,
     param_group,
+    project_qkv,
+    project_qkv_backward,
     relu,
     scaled_dot_attention,
 )
@@ -131,10 +133,7 @@ def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt"):
     Both inputs must have the same frame count; returns (output, trace).
     """
     _check_aligned(h_query, h_kv)
-    q = affine(h_query, params["wq"], params["bq"])
-    k = affine(h_kv, params["wk"], params["bk"])
-    v = affine(h_kv, params["wv"], params["bv"])
-    trace = scaled_dot_attention(q, k, v, scale_mode)
+    trace = scaled_dot_attention(*project_qkv((h_query, h_kv, h_kv), params), scale_mode)
     return trace.output, trace
 
 
@@ -153,19 +152,11 @@ def level2_attention(h_query, h_ca1, params, scale_mode="sqrt"):
 def cross_attention_stage_backward(hq, hk, params, d_out, scale_mode="sqrt"):
     """Gradients of sum(stage_output * d_out) w.r.t. the stage projections."""
     _check_aligned(hq, hk)
-    q = affine(hq, params["wq"], params["bq"])
-    k = affine(hk, params["wk"], params["bk"])
-    v = affine(hk, params["wv"], params["bv"])
-    trace = scaled_dot_attention(q, k, v, scale_mode)
-    dq, dk, dv = attention_backward(trace, q, k, v, d_out, scale_mode)
-    return {
-        "wq": hq.T @ dq,
-        "bq": dq.sum(axis=0),
-        "wk": hk.T @ dk,
-        "bk": dk.sum(axis=0),
-        "wv": hk.T @ dv,
-        "bv": dv.sum(axis=0),
-    }
+    xs = (hq, hk, hk)
+    proj = project_qkv(xs, params)
+    trace = scaled_dot_attention(*proj, scale_mode)
+    grads, _ = project_qkv_backward(xs, params, attention_backward(trace, *proj, d_out, scale_mode))
+    return grads
 
 
 def split_and_fuse(h, tokens, heads, params):
@@ -256,7 +247,8 @@ def embedding_to_bytes(emb: SpeakerEmbedding) -> bytes:
     )
 
 
-def embedding_from_bytes(data: bytes, mode: str = "", cfg_hash: str = "") -> SpeakerEmbedding:
+def embedding_from_bytes(data: bytes) -> SpeakerEmbedding:
+    """A binary embedding; the format stores neither mode nor config hash, so both are empty."""
     if data[:8] != EMBEDDING_MAGIC:
         raise ShapeMismatch("bad embedding magic")
     if len(data) < 12:
@@ -265,4 +257,4 @@ def embedding_from_bytes(data: bytes, mode: str = "", cfg_hash: str = "") -> Spe
     vec = np.frombuffer(data[12 : 12 + 4 * d], dtype="<f4").astype(np.float64)
     if len(vec) != d:
         raise ShapeMismatch("truncated embedding payload")
-    return SpeakerEmbedding(vec, mode, cfg_hash)
+    return SpeakerEmbedding(vec, "", "")

@@ -6,7 +6,6 @@ invariant violation. All randomness flows from --seed.
 """
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -161,44 +160,43 @@ def cmd_embed(args):
     weights.check_params(store, bb, agg)
     records = _read_manifest(args.manifest)
     os.makedirs(args.out, exist_ok=True)
-    ext = ".json" if args.format == "json" else ".emb"
+    ext, serialize = {
+        "json": (".json", aggregation.embedding_to_json),
+        "bin": (".emb", aggregation.embedding_to_bytes),
+    }[args.format]
 
     def one(rec):
-        buf = _read_audio(rec["path"])
-        emb = aggregation.extract_embedding(buf, store, bb, agg)
-        # NaN fails the test too; the files store float32
-        if not (np.abs(emb.vector) <= np.finfo(np.float32).max).all():
-            raise ConfigError("embedding of %s is not finite in float32; the weights overflow" % rec["utterance_id"])
-        fname = rec["utterance_id"] + ext
-        if args.format == "json":
-            _atomic_write(os.path.join(args.out, fname), aggregation.embedding_to_json(emb))
-        else:
-            _atomic_write(os.path.join(args.out, fname), aggregation.embedding_to_bytes(emb))
-        return fname
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            jobs = [pool.submit(one, rec).result for rec in records]
-    else:
-        # One worker runs in this thread: a pool thread raised peak RSS by ~6% (~50 MB) on 60 s clips.
-        jobs = [functools.partial(one, rec) for rec in records]
-    entries, failures = [], []
-    for rec, job in zip(records, jobs):
+        """Write one utterance's file; under --keep-going a failure comes back as its message."""
         try:
-            fname = job()
+            emb = aggregation.extract_embedding(_read_audio(rec["path"]), store, bb, agg)
+            # NaN fails the test too; the files store float32
+            if not (np.abs(emb.vector) <= np.finfo(np.float32).max).all():
+                raise ConfigError("embedding of %s is not finite in float32; the weights overflow" % rec["utterance_id"])
+            _atomic_write(os.path.join(args.out, rec["utterance_id"] + ext), serialize(emb))
         except (AgvError, OSError) as e:
             if not args.keep_going:
                 raise
-            failures.append((rec["utterance_id"], str(e)))
-            continue
-        entries.append(
-            {
-                "utterance_id": rec["utterance_id"],
-                "speaker_id": rec["speaker_id"],
-                "language": rec["language"],
-                "file": fname,
-            }
-        )
+            return str(e)
+        return None
+
+    # One outcome per manifest line, in order. A raised failure stops the loop,
+    # and Executor.map cancels every job that has not started.
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            outcomes = list(pool.map(one, records))
+    else:
+        # One worker runs in this thread: a pool thread raised peak RSS by ~6% (~50 MB) on 60 s clips.
+        outcomes = list(map(one, records))
+    entries = [
+        {
+            "utterance_id": rec["utterance_id"],
+            "speaker_id": rec["speaker_id"],
+            "language": rec["language"],
+            "file": rec["utterance_id"] + ext,
+        }
+        for rec, err in zip(records, outcomes)
+        if err is None
+    ]
     index = {
         "config_hash": aggregation.config_hash(bb, agg),
         "mode": agg.mode,
@@ -207,8 +205,9 @@ def cmd_embed(args):
         "entries": entries,
     }
     _atomic_write(os.path.join(args.out, "index.json"), json.dumps(index, indent=2, sort_keys=True))
-    for uid, msg in failures:
-        print("SKIP %s: %s" % (uid, msg), file=sys.stderr)
+    for rec, err in zip(records, outcomes):
+        if err is not None:
+            print("SKIP %s: %s" % (rec["utterance_id"], err), file=sys.stderr)
     print("embedded %d/%d utterances -> %s" % (len(entries), len(records), args.out))
     return 0
 
@@ -225,15 +224,15 @@ def cmd_f0(args):
     return 0
 
 
-def _read_embedding_file(path, mode="", cfg_hash=""):
-    """A `.json` or binary embedding file; a bare `.emb` takes `mode`/`cfg_hash` from its index."""
+def _read_embedding_file(path):
+    """A `.json` or binary embedding file, checked finite."""
     try:
         if path.endswith(".json"):
             with open(path, encoding="utf-8") as f:
                 emb = aggregation.embedding_from_json(f.read())
         else:
             with open(path, "rb") as f:
-                emb = aggregation.embedding_from_bytes(f.read(), mode, cfg_hash)
+                emb = aggregation.embedding_from_bytes(f.read())
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e)) from None
     except (ShapeMismatch, ValueError, KeyError, TypeError) as e:
@@ -266,9 +265,7 @@ def _load_index_embeddings(index_path):
     index = _read_index(index_path)
     embs = []
     for entry in index["entries"]:
-        emb = _read_embedding_file(
-            os.path.join(base, entry["file"]), index.get("mode", ""), index.get("config_hash", "")
-        )
+        emb = _read_embedding_file(os.path.join(base, entry["file"]))
         if len(emb.vector) != index["d"]:
             raise ConfigError("embedding %s has d=%d, index says %d" % (entry["file"], len(emb.vector), index["d"]))
         embs.append((entry, emb))

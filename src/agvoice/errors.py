@@ -1,6 +1,7 @@
 """Exception hierarchy.
 
-InputError covers bad user-supplied data (audio files, manifests);
+InputError covers bad user-supplied data (audio files, manifests,
+embeddings);
 ConfigError covers weight-file / configuration mismatches. The CLI maps
 these to exit codes 2 and 3 respectively; anything else is internal (4).
 """
@@ -87,12 +88,12 @@ class TruncatedPayload(ConfigError):
     pass
 
 
-# evaluation
-class ZeroNorm(AgvError):
+# evaluation: raised only on user-supplied embeddings
+class ZeroNorm(InputError):
     pass
 
 
-class DimMismatch(AgvError):
+class DimMismatch(InputError):
     pass
 
 

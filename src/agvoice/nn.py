@@ -128,6 +128,38 @@ def attention_backward(trace: AttentionTrace, q, k, v, d_out, scale_mode="sqrt")
     return d_q, d_k, d_v
 
 
+def affine_backward(x, w, d_y):
+    """Gradients of sum(affine(x, w, b) * d_y) w.r.t. w, b and x."""
+    return x.T @ d_y, d_y.sum(axis=0), d_y @ w.T
+
+
+def project_qkv(xs, params):
+    """The wq/bq, wk/bk, wv/bv projections of the (query, key, value) inputs."""
+    return [affine(x, params["w" + n], params["b" + n]) for n, x in zip("qkv", xs)]
+
+
+def project_qkv_backward(xs, params, d_proj):
+    """(weight/bias gradients by name, input gradients) of project_qkv."""
+    grads, d_xs = {}, []
+    for n, x, d in zip("qkv", xs, d_proj):
+        grads["w" + n], grads["b" + n], d_x = affine_backward(x, params["w" + n], d)
+        d_xs.append(d_x)
+    return grads, d_xs
+
+
+def _heads(q, k, v, heads, params):
+    """Projected per-head attention: (projections, concatenated head outputs, head traces)."""
+    xs = [np.asarray(a) for a in (q, k, v)]
+    d = xs[0].shape[1]
+    if d % heads:
+        raise IndivisibleHeads("d=%d not divisible by %d heads" % (d, heads))
+    proj = project_qkv(xs, params)
+    hd = d // heads
+    slices = [slice(h * hd, (h + 1) * hd) for h in range(heads)]
+    traces = [scaled_dot_attention(*(p[:, sl] for p in proj), "sqrt") for sl in slices]
+    return xs, proj, slices, np.concatenate([tr.output for tr in traces], axis=1), traces
+
+
 def multi_head_attention(q, k, v, heads, params):
     """Projected multi-head attention.
 
@@ -135,23 +167,10 @@ def multi_head_attention(q, k, v, heads, params):
     wo/bo. Returns (output, head_weights); for a single query row the
     weights come back as heads x Tk.
     """
-    q, k, v = np.asarray(q), np.asarray(k), np.asarray(v)
-    d = q.shape[1]
-    if d % heads:
-        raise IndivisibleHeads("d=%d not divisible by %d heads" % (d, heads))
-    qp = affine(q, params["wq"], params["bq"])
-    kp = affine(k, params["wk"], params["bk"])
-    vp = affine(v, params["wv"], params["bv"])
-    hd = d // heads
-    outs, weights = [], []
-    for h in range(heads):
-        sl = slice(h * hd, (h + 1) * hd)
-        tr = scaled_dot_attention(qp[:, sl], kp[:, sl], vp[:, sl], "sqrt")
-        outs.append(tr.output)
-        weights.append(tr.weights)
-    out = affine(np.concatenate(outs, axis=1), params["wo"], params["bo"])
-    hw = np.stack(weights)
-    if q.shape[0] == 1:
+    _, _, _, concat, traces = _heads(q, k, v, heads, params)
+    out = affine(concat, params["wo"], params["bo"])
+    hw = np.stack([tr.weights for tr in traces])
+    if np.shape(q)[0] == 1:
         hw = hw[:, 0, :]
     return out, hw
 
@@ -162,43 +181,15 @@ def multi_head_attention_backward(q, k, v, heads, params, d_out):
 
     Returns (param_grads, d_q_in, d_k_in, d_v_in).
     """
-    q, k, v, d_out = (np.asarray(a) for a in (q, k, v, d_out))
-    d = q.shape[1]
-    hd = d // heads
-    qp = affine(q, params["wq"], params["bq"])
-    kp = affine(k, params["wk"], params["bk"])
-    vp = affine(v, params["wv"], params["bv"])
-
-    concat = np.empty((q.shape[0], d))
-    traces = []
-    for h in range(heads):
-        sl = slice(h * hd, (h + 1) * hd)
-        tr = scaled_dot_attention(qp[:, sl], kp[:, sl], vp[:, sl], "sqrt")
-        concat[:, sl] = tr.output
-        traces.append(tr)
-
-    d_concat = d_out @ params["wo"].T
-    d_qp = np.zeros_like(qp)
-    d_kp = np.zeros_like(kp)
-    d_vp = np.zeros_like(vp)
-    for h, tr in enumerate(traces):
-        sl = slice(h * hd, (h + 1) * hd)
-        dq, dk, dv = attention_backward(tr, qp[:, sl], kp[:, sl], vp[:, sl], d_concat[:, sl], "sqrt")
-        d_qp[:, sl] = dq
-        d_kp[:, sl] = dk
-        d_vp[:, sl] = dv
-
-    grads = {
-        "wo": concat.T @ d_out,
-        "bo": d_out.sum(axis=0),
-        "wq": q.T @ d_qp,
-        "bq": d_qp.sum(axis=0),
-        "wk": k.T @ d_kp,
-        "bk": d_kp.sum(axis=0),
-        "wv": v.T @ d_vp,
-        "bv": d_vp.sum(axis=0),
-    }
-    return grads, d_qp @ params["wq"].T, d_kp @ params["wk"].T, d_vp @ params["wv"].T
+    xs, proj, slices, concat, traces = _heads(q, k, v, heads, params)
+    d_wo, d_bo, d_concat = affine_backward(concat, params["wo"], np.asarray(d_out))
+    d_proj = [np.zeros_like(p) for p in proj]
+    for sl, tr in zip(slices, traces):
+        for d_p, g in zip(d_proj, attention_backward(tr, *(p[:, sl] for p in proj), d_concat[:, sl], "sqrt")):
+            d_p[:, sl] = g
+    grads, d_xs = project_qkv_backward(xs, params, d_proj)
+    grads.update(wo=d_wo, bo=d_bo)
+    return (grads, *d_xs)
 
 
 def glu_gated_conv(x, kernels, bias):

@@ -214,8 +214,8 @@ def load(source) -> ParamStore:
         tensors = [(str(t["name"]), tuple(int(s) for s in t["shape"])) for t in header["tensors"]]
     except (KeyError, TypeError, ValueError):
         raise HeaderMismatch("header has no well-formed tensor list") from None
-    if any(s < 0 for _, shape in tensors for s in shape):
-        raise HeaderMismatch("negative tensor dimension")
+    if any(s <= 0 for _, shape in tensors for s in shape):
+        raise HeaderMismatch("tensor dimension is not positive")
     counts = [int(np.prod(shape, dtype=np.int64)) for _, shape in tensors]
     declared = 4 * sum(counts)
     if declared != header.get("payload_bytes"):

@@ -141,6 +141,47 @@ def loop_backbone(mel_frames, params, cfg):
 # --- DSP references ---------------------------------------------------------
 
 
+def bessel_i0(x):
+    """Modified Bessel function of the first kind, order 0, by its power series."""
+    term = total = 1.0
+    k = 0
+    while term > 1e-18 * total:
+        k += 1
+        term *= (x / (2.0 * k)) ** 2
+        total += term
+    return total
+
+
+def loop_resample(samples, src, target, zero_crossings=64, beta=8.0, cutoff_fraction=0.95):
+    """Kaiser-windowed sinc resampling, one output sample and one tap at a time.
+
+    The cutoff sits at `cutoff_fraction` of the lower Nyquist; the window
+    spans `zero_crossings` zero crossings of the sinc on each side; samples
+    outside the signal are zero; the output has round(n * target / src)
+    samples.
+    """
+    if src == target:
+        return np.array(samples, dtype=np.float64)
+    n = len(samples)
+    cutoff = cutoff_fraction * 0.5 * min(src, target) / src  # cycles per source sample
+    half = zero_crossings / (2.0 * cutoff)  # window half-width in source samples
+    i0_beta = bessel_i0(beta)
+    out = np.zeros(int(round(n * target / src)))
+    for m in range(len(out)):
+        t = m * src / target  # output sample m in source-sample units
+        acc = 0.0
+        for j in range(max(0, math.ceil(t - half)), min(n - 1, math.floor(t + half)) + 1):
+            u = (j - t) / half
+            if abs(u) >= 1.0:
+                continue
+            x = 2.0 * cutoff * (j - t)
+            sinc = 1.0 if x == 0.0 else math.sin(math.pi * x) / (math.pi * x)
+            window = bessel_i0(beta * math.sqrt(1.0 - u * u)) / i0_beta
+            acc += samples[j] * 2.0 * cutoff * sinc * window
+        out[m] = acc
+    return out
+
+
 def dft_magnitude_frame(windowed_frame, n_fft=1024):
     """Direct DFT of one already-windowed frame (no FFT)."""
     n = np.arange(n_fft)

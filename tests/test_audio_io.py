@@ -16,6 +16,7 @@ from agvoice.errors import (
     UnsupportedEncoding,
 )
 from conftest import SR, float32_wav, sine
+from oracles import loop_resample
 
 
 def pcm16_wav(frames, rate=22050, channels=1):
@@ -106,6 +107,14 @@ class TestResample:
         e_src = np.mean(src.samples**2)
         e_out = np.mean(out.samples**2)
         assert abs(e_out - e_src) / e_src < 0.05
+
+    @pytest.mark.parametrize("src, target", [(16000, 22050), (44100, 22050), (48000, 22050), (22050, 16000), (22050, 22050)])
+    def test_matches_loop_oracle(self, src, target):
+        x = np.random.default_rng(src).uniform(-1.0, 1.0, 300)
+        out = resample(AudioBuffer(x, src), target)
+        ref = loop_resample(x, src, target)
+        assert len(out) == len(ref)
+        assert np.max(np.abs(out.samples - ref)) < 1e-12
 
     def test_rate_out_of_range(self):
         with pytest.raises(RateOutOfRange):

@@ -70,6 +70,27 @@ def negate_dims(header):
     return header
 
 
+def write_edited(weights_file, edit, path):
+    """Copy a weight file with its JSON header passed through `edit`."""
+    blob = weights_file.read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, 8)
+    edited = json.dumps(edit(json.loads(blob[12 : 12 + hlen]))).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + hlen :])
+    return path
+
+
+def clips_manifest(tmp_path, wav_factory, n_good, bad_at):
+    """`n_good` short clips with a missing file inserted at position `bad_at`."""
+    records = []
+    for i in range(n_good):
+        wav_factory("c%02d.wav" % i, sine(150.0 + 10.0 * i, seconds=0.3))
+        records.append({"path": "c%02d.wav" % i, "utterance_id": "c%02d" % i, "speaker_id": "s%d" % (i % 3)})
+    records.insert(bad_at, {"path": "missing.wav", "utterance_id": "missing", "speaker_id": "s0"})
+    path = tmp_path / "clips.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
 class TestInitInspect:
     def test_init_deterministic(self, tmp_path):
         a, b = tmp_path / "a.agvw", tmp_path / "b.agvw"
@@ -107,6 +128,16 @@ class TestInitInspect:
         agg = AggregationConfig(n_tokens=2, heads=2, d_model=8)
         for name in param_shapes(bb, agg):
             assert name in out
+
+    def test_inspect_zero_dimension_exit_3(self, tmp_path, weights_file, capsys):
+        def add_empty_tensor(header):
+            header["tensors"].append({"name": "agg.empty", "shape": [0]})
+            return header
+
+        bad = write_edited(weights_file, add_empty_tensor, tmp_path / "empty.agvw")
+        capsys.readouterr()
+        assert main(["inspect", "--weights", str(bad)]) == 3
+        assert one_line(capsys.readouterr().err, "config error: ")
 
 
 class TestEmbed:
@@ -188,11 +219,7 @@ class TestEmbed:
         ],
     )
     def test_bad_header_config_exit_3(self, tmp_path, weights_file, manifest, capsys, edit):
-        blob = weights_file.read_bytes()
-        (hlen,) = struct.unpack_from("<I", blob, 8)
-        edited = json.dumps(edit(json.loads(blob[12 : 12 + hlen]))).encode()
-        bad = tmp_path / "bad.agvw"
-        bad.write_bytes(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + hlen :])
+        bad = write_edited(weights_file, edit, tmp_path / "bad.agvw")
         capsys.readouterr()
         assert main(["embed", str(manifest), "--weights", str(bad), "--out", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err
@@ -289,6 +316,32 @@ class TestEmbed:
         # without the flag the same manifest fails and writes no index
         assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(tmp_path / "kg2")]) == 2
         assert not (tmp_path / "kg2" / "index.json").exists()
+
+    def test_pool_stops_at_first_failure(self, tmp_path, weights_file, wav_factory, monkeypatch, capsys):
+        manifest = clips_manifest(tmp_path, wav_factory, n_good=20, bad_at=0)
+        monkeypatch.setenv("AGV_NUM_THREADS", "2")
+        out = tmp_path / "stop"
+        capsys.readouterr()
+        assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(out)]) == 2
+        assert one_line(capsys.readouterr().err, "error: ")
+        assert not (out / "index.json").exists()
+        # jobs already running may finish; no job starts after the failure is read
+        assert len(list(out.glob("*.json"))) < 10
+
+    def test_keep_going_same_for_any_pool_size(self, tmp_path, weights_file, wav_factory, monkeypatch, capsys):
+        manifest = clips_manifest(tmp_path, wav_factory, n_good=4, bad_at=2)
+        runs = []
+        for n in ("1", "2"):
+            monkeypatch.setenv("AGV_NUM_THREADS", n)
+            out = tmp_path / ("kg" + n)
+            capsys.readouterr()
+            assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(out), "--keep-going"]) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            runs.append((files, capsys.readouterr().err))
+        assert runs[0] == runs[1]
+        files, err = runs[0]
+        assert sorted(files) == ["c00.json", "c01.json", "c02.json", "c03.json", "index.json"]
+        assert err.startswith("SKIP missing: ") and err.count("\n") == 1
 
     def test_binary_format(self, tmp_path, weights_file, manifest):
         out = tmp_path / "bin"
@@ -440,6 +493,28 @@ class TestSimmatrixAbx:
         d = tmp_path / "emb"
         assert main(["abx", "--reference", str(d / "a1.emb"), str(d / "a1.emb"), str(d / "b1.emb")]) == 2
         assert one_line(capsys.readouterr().err, "error: ")
+
+    @pytest.mark.parametrize(
+        "zero_file, argv",
+        [
+            ("z.json", ["abx", "--reference", "a1.json", "b1.json"]),
+            ("z.json", ["abx", "--reference", "a1.json", "b1.json", "d3.json"]),
+            ("z.json", ["abx", "--reference", "z.json", "a1.json", "b1.json"]),
+            ("b2.json", ["simmatrix", "index.json", "--out", "sim"]),
+        ],
+        ids=["abx_one_candidate", "abx_unequal_d", "abx_zero_vector", "simmatrix_zero_vector"],
+    )
+    def test_bad_embeddings_exit_2(self, index_dir, capsys, monkeypatch, zero_file, argv):
+        def write(name, values):
+            (index_dir / name).write_text(json.dumps({"mode": "SE", "d": len(values), "config_hash": "0" * 16, "values": values}))
+
+        write(zero_file, [0.0, 0.0])
+        write("d3.json", [1.0, 0.0, 0.0])
+        monkeypatch.chdir(index_dir)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert one_line(capsys.readouterr().err, "error: ")
+        assert not (index_dir / "sim.csv").exists()
 
     def test_abx(self, index_dir, capsys):
         rc = main(["abx", "--reference", str(index_dir / "a1.json"), str(index_dir / "b1.json"), str(index_dir / "a2.json")])
