@@ -18,7 +18,7 @@ from . import aggregation, dsp, evaluation, weights
 from .aggregation import MODES, AggregationConfig
 from .audio_io import CANONICAL_RATE, AudioBuffer, decode_wav, resample
 from .backbone import BackboneConfig
-from .errors import AgvError, ConfigError, InputError, ShapeMismatch
+from .errors import AgvError, ConfigError, DimMismatch, InputError, ShapeMismatch
 from .nn import SCALE_MODES, gradcheck, scaled_dot_attention, attention_backward
 
 MODE_FLAGS = {"+".join(("se",) + cues): mode for mode, cues in MODES.items()}
@@ -267,7 +267,7 @@ def _load_index_embeddings(index_path):
     for entry in index["entries"]:
         emb = _read_embedding_file(os.path.join(base, entry["file"]))
         if len(emb.vector) != index["d"]:
-            raise ConfigError("embedding %s has d=%d, index says %d" % (entry["file"], len(emb.vector), index["d"]))
+            raise DimMismatch("embedding %s has d=%d, index says %d" % (entry["file"], len(emb.vector), index["d"]))
         embs.append((entry, emb))
     if len(embs) < 2:
         raise InputError("need at least 2 embeddings")

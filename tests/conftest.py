@@ -9,6 +9,9 @@ from agvoice.backbone import BackboneConfig
 
 SR = 22050
 
+# bytes 2..15 of every KSDATAFORMAT_SUBTYPE GUID; bytes 0..1 hold the format tag
+GUID_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
 
 def sine(freq, seconds=1.0, sr=SR, amp=0.5, phase=0.0):
     t = np.arange(int(round(seconds * sr))) / sr

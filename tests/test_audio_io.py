@@ -15,7 +15,7 @@ from agvoice.errors import (
     RateOutOfRange,
     UnsupportedEncoding,
 )
-from conftest import SR, float32_wav, sine
+from conftest import GUID_TAIL, SR, float32_wav, sine
 from oracles import loop_resample
 
 
@@ -24,6 +24,17 @@ def pcm16_wav(frames, rate=22050, channels=1):
     hdr = b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
     hdr += b"fmt " + struct.pack("<IHHIIHH", 16, 1, channels, rate, rate * 2 * channels, 2 * channels, 16)
     return hdr + b"data" + struct.pack("<I", len(data)) + data
+
+
+def extensible(wav, sub_format=None, fmt_size=40):
+    """`wav` (a 16-byte fmt chunk first) with its fmt chunk rewritten as WAVE_FORMAT_EXTENSIBLE."""
+    (tag,) = struct.unpack_from("<H", wav, 20)
+    fmt = wav[20:36]
+    (bits,) = struct.unpack_from("<H", fmt, 14)
+    ext = struct.pack("<H", 0xFFFE) + fmt[2:] + struct.pack("<HHIH", 22, bits, 0, tag if sub_format is None else sub_format)
+    ext = (ext + GUID_TAIL)[:fmt_size]
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(ext)) + ext + b"\x00" * (len(ext) & 1) + wav[36:]
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 class TestDecode:
@@ -52,6 +63,26 @@ class TestDecode:
     def test_float32_non_finite_rejected(self, bad):
         with pytest.raises(MalformedContainer):
             decode_wav(float32_wav([0.25, bad]))
+
+    @pytest.mark.parametrize(
+        "wav",
+        [pcm16_wav([16384, -32768, 7], rate=16000), pcm16_wav([32767, -32767, 5, 9], channels=2), float32_wav([0.25, -0.5, 2.0])],
+        ids=["pcm16", "pcm16_stereo", "float32"],
+    )
+    def test_extensible_matches_plain(self, wav):
+        plain, ext = decode_wav(wav), decode_wav(extensible(wav))
+        assert ext.sample_rate_hz == plain.sample_rate_hz
+        assert np.array_equal(ext.samples, plain.samples)
+
+    @pytest.mark.parametrize("fmt_size", [16, 24, 39])
+    def test_extensible_fmt_too_small(self, fmt_size):
+        with pytest.raises(MalformedContainer):
+            decode_wav(extensible(pcm16_wav([0]), fmt_size=fmt_size))
+
+    @pytest.mark.parametrize("sub_format", [2, 85, 0xFFFE])
+    def test_extensible_other_sub_format_rejected(self, sub_format):
+        with pytest.raises(UnsupportedEncoding):
+            decode_wav(extensible(pcm16_wav([0]), sub_format=sub_format))
 
     def test_bad_magic(self):
         with pytest.raises(MalformedContainer):
@@ -108,9 +139,40 @@ class TestResample:
         e_out = np.mean(out.samples**2)
         assert abs(e_out - e_src) / e_src < 0.05
 
-    @pytest.mark.parametrize("src, target", [(16000, 22050), (44100, 22050), (48000, 22050), (22050, 16000), (22050, 22050)])
-    def test_matches_loop_oracle(self, src, target):
-        x = np.random.default_rng(src).uniform(-1.0, 1.0, 300)
+    # 16 kHz -> 22.05 kHz has 441 phases: 300 samples give 413 outputs, 360 give
+    # 496 (more than one period), 50 give 69; 4001 and 44099 Hz are coprime
+    # with 22050, so `up` is 22050
+    @pytest.mark.parametrize(
+        "src, target, n",
+        [
+            (16000, 22050, 300),
+            (44100, 22050, 300),
+            (48000, 22050, 300),
+            (22050, 16000, 300),
+            (22050, 22050, 300),
+            (8000, 22050, 100),
+            (96000, 22050, 300),
+            (4001, 22050, 100),
+            (44099, 22050, 300),
+            (16000, 22050, 360),
+            (16000, 22050, 50),
+        ],
+        ids=[
+            "16000-22050",
+            "44100-22050",
+            "48000-22050",
+            "22050-16000",
+            "22050-22050",
+            "8000-22050",
+            "96000-22050",
+            "4001-22050",
+            "44099-22050",
+            "16000-22050-beyond_one_period",
+            "16000-22050-fewer_outputs_than_phases",
+        ],
+    )
+    def test_matches_loop_oracle(self, src, target, n):
+        x = np.random.default_rng(src).uniform(-1.0, 1.0, n)
         out = resample(AudioBuffer(x, src), target)
         ref = loop_resample(x, src, target)
         assert len(out) == len(ref)

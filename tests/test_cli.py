@@ -462,8 +462,11 @@ class TestSimmatrixAbx:
             (lambda uid, blob: blob, {"d": "2"}),
             (lambda uid, blob: blob, {"entries": [{"file": "a1.emb"}, {"file": "b1.emb"}]}),
             (lambda uid, blob: blob, {"entries": ["a1.emb", "b1.emb"]}),
+            (lambda uid, blob: aggregation.embedding_to_bytes(
+                aggregation.SpeakerEmbedding(np.array([0.0, 1.0, 0.0]), "SE", "0" * 16)) if uid == "b1" else blob, {}),
         ],
-        ids=["truncated_emb", "truncated_emb_header", "no_entries", "no_d", "d_str", "entry_no_ids", "entry_not_object"],
+        ids=["truncated_emb", "truncated_emb_header", "no_entries", "no_d", "d_str", "entry_no_ids", "entry_not_object",
+             "entry_d_differs"],
     )
     def test_bad_index_exit_2(self, tmp_path, capsys, blob_edit, index_fields):
         index = self.write_emb_index(tmp_path / "bad", blob_edit, **index_fields)

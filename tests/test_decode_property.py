@@ -11,6 +11,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from agvoice.audio_io import decode_wav  # noqa: E402
 from agvoice.errors import InputError  # noqa: E402
+from conftest import GUID_TAIL  # noqa: E402
 
 U16 = st.integers(0, 2**16 - 1)
 U32 = st.integers(0, 2**32 - 1)
@@ -23,15 +24,18 @@ def rarely(draw):
 
 @st.composite
 def fmt_and_data(draw):
-    """A fmt body and a data body that mostly agree: PCM16 or float32 (NaN and inf included), mono or stereo."""
+    """A fmt body and a data body that mostly agree: PCM16 or float32 (NaN and inf included), mono or stereo,
+    plain or extensible."""
     audio_format, bits = draw(st.sampled_from([(1, 16), (3, 32)]))
     channels = draw(st.sampled_from([1, 2]))
     rate = draw(st.sampled_from([16000, 22050, 48000]))
     if rarely(draw):
         audio_format, bits, channels, rate = draw(st.tuples(U16, U16, U16, U32))
     body = struct.pack("<HHIIHH", audio_format, channels, rate, rate * channels * bits // 8 % 2**32, 4, bits)
+    if draw(st.booleans()):  # WAVE_FORMAT_EXTENSIBLE: the tag moves into the SubFormat GUID
+        body = struct.pack("<H", 0xFFFE) + body[2:] + struct.pack("<HHIH", 22, bits, 0, audio_format) + GUID_TAIL
     if rarely(draw):
-        body = body[: draw(st.integers(0, 15))]
+        body = body[: draw(st.integers(0, len(body) - 1))]
     body += draw(st.binary(max_size=4))
     if rarely(draw):
         data = draw(st.binary(max_size=64))
