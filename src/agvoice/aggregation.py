@@ -234,6 +234,8 @@ def embedding_to_json(emb: SpeakerEmbedding) -> str:
 def embedding_from_json(text: str) -> SpeakerEmbedding:
     obj = json.loads(text)
     vec = np.asarray(obj["values"], dtype=np.float64)
+    if vec.ndim != 1:
+        raise ShapeMismatch("values must be a flat list, got shape %s" % (vec.shape,))
     if len(vec) != obj["d"]:
         raise ShapeMismatch("declared d=%d but %d values" % (obj["d"], len(vec)))
     return SpeakerEmbedding(vec, obj["mode"], obj["config_hash"])

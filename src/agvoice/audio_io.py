@@ -20,6 +20,7 @@ from .errors import (
 CANONICAL_RATE = 22050
 
 _MIN_RATE = 4000
+_MAX_RATE = 384000
 
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
@@ -165,8 +166,10 @@ def resample(buf: AudioBuffer, target_hz: int) -> AudioBuffer:
     table would cost more memory, and more time on a short clip, than
     the call it serves.
     """
-    if buf.sample_rate_hz < _MIN_RATE or target_hz < _MIN_RATE:
-        raise RateOutOfRange("rates below %d Hz not supported" % _MIN_RATE)
+    # the kernel grows with the source rate: refuse absurd rates before allocating
+    for rate in (buf.sample_rate_hz, target_hz):
+        if not _MIN_RATE <= rate <= _MAX_RATE:
+            raise RateOutOfRange("rate %d Hz outside %d..%d Hz" % (rate, _MIN_RATE, _MAX_RATE))
     src = buf.sample_rate_hz
     if src == target_hz:
         return AudioBuffer(buf.samples, target_hz)

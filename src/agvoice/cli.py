@@ -225,7 +225,7 @@ def cmd_f0(args):
 
 
 def _read_embedding_file(path):
-    """A `.json` or binary embedding file, checked finite."""
+    """The vector of a `.json` or binary embedding file, checked finite."""
     try:
         if path.endswith(".json"):
             with open(path, encoding="utf-8") as f:
@@ -239,7 +239,7 @@ def _read_embedding_file(path):
         raise InputError("bad embedding file %s: %s" % (path, e)) from None
     if not np.isfinite(emb.vector).all():
         raise InputError("embedding file %s holds non-finite values" % path)
-    return emb
+    return emb.vector
 
 
 def _read_index(index_path):
@@ -263,39 +263,35 @@ def _read_index(index_path):
 def _load_index_embeddings(index_path):
     base = os.path.dirname(os.path.abspath(index_path))
     index = _read_index(index_path)
-    embs = []
+    vecs = []
     for entry in index["entries"]:
-        emb = _read_embedding_file(os.path.join(base, entry["file"]))
-        if len(emb.vector) != index["d"]:
-            raise DimMismatch("embedding %s has d=%d, index says %d" % (entry["file"], len(emb.vector), index["d"]))
-        embs.append((entry, emb))
-    if len(embs) < 2:
+        vec = _read_embedding_file(os.path.join(base, entry["file"]))
+        if len(vec) != index["d"]:
+            raise DimMismatch("embedding %s has d=%d, index says %d" % (entry["file"], len(vec), index["d"]))
+        vecs.append(vec)
+    if len(vecs) < 2:
         raise InputError("need at least 2 embeddings")
-    return embs
+    return index["entries"], np.array(vecs)
 
 
-def _pooled_matrix(embs, key):
-    """Cosine matrix between per-group mean embeddings, groups by `entry[key]`, sorted."""
+def _pooled_matrix(entries, x, key):
+    """Cosine matrix between per-group means of the rows of `x`, groups by `entry[key]`, sorted."""
     groups = {}
-    for entry, emb in embs:
-        groups.setdefault(entry[key], []).append(emb.vector)
+    for i, entry in enumerate(entries):
+        groups.setdefault(entry[key], []).append(i)
     labels = sorted(groups)
-    vecs = [np.mean(groups[label], axis=0) for label in labels]
-    return evaluation.cross_similarity(vecs, vecs, labels, labels)
+    means = [x[groups[label]].mean(axis=0) for label in labels]
+    return evaluation.cross_similarity(means, means, labels, labels)
 
 
 def cmd_simmatrix(args):
-    embs = _load_index_embeddings(args.index)
+    entries, x = _load_index_embeddings(args.index)
     key = {"speaker": "speaker_id", "language": "language"}.get(args.group_by)
-    if key:
-        matrix = _pooled_matrix(embs, key)
-        dom = evaluation.diagonal_dominance(matrix)
-    else:
-        labels = [entry["utterance_id"] for entry, _ in embs]
-        vecs = [emb.vector for _, emb in embs]
-        matrix = evaluation.cross_similarity(vecs, vecs, labels, labels)
-        # dominance needs one column per speaker: pool by speaker on the side
-        dom = evaluation.diagonal_dominance(_pooled_matrix(embs, "speaker_id"))
+    # dominance needs one column per group: pool by speaker when not grouped
+    pooled = _pooled_matrix(entries, x, key or "speaker_id")
+    labels = [entry["utterance_id"] for entry in entries]
+    matrix = pooled if key else evaluation.cross_similarity(x, x, labels, labels)
+    dom = evaluation.diagonal_dominance(pooled)
     _atomic_write(args.out + ".csv", evaluation.matrix_to_csv(matrix))
     _atomic_write(args.out + ".pgm", evaluation.matrix_to_pgm(matrix))
     print("diagonal_dominance %.6g" % dom)

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import SpeakerEmbedding
 from .errors import DimMismatch, LabelMismatch, ZeroNorm
 
 
@@ -20,29 +19,33 @@ class SimilarityMatrix:
     col_labels: list
 
 
-def _vec(e):
-    return e.vector if isinstance(e, SpeakerEmbedding) else np.asarray(e, dtype=np.float64)
+def _unit_rows(vectors) -> np.ndarray:
+    """The vectors as unit rows of one float64 matrix: the one check of an embedding list."""
+    rows = [np.asarray(v, dtype=np.float64) for v in vectors]
+    shapes = sorted({r.shape for r in rows})
+    if len(shapes) != 1 or len(shapes[0]) != 1:
+        raise DimMismatch("need 1-D embeddings of one length, got shapes %s" % shapes)
+    x = np.stack(rows)
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    if not norms.all():
+        raise ZeroNorm("cosine undefined for zero-norm embedding")
+    return x / norms
 
 
 def cosine(a, b) -> float:
-    va, vb = _vec(a), _vec(b)
-    if va.shape != vb.shape:
-        raise DimMismatch("dims %s vs %s" % (va.shape, vb.shape))
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNorm("cosine undefined for zero-norm embedding")
-    return float(np.dot(va, vb) / (na * nb))
+    u = _unit_rows([a, b])
+    return float(u[0] @ u[1])
 
 
 def cross_similarity(rows, cols, row_labels=None, col_labels=None) -> SimilarityMatrix:
     """Pairwise cosine matrix between two embedding lists."""
-    if not rows or not cols:
-        raise DimMismatch("empty embedding list")
-    values = np.array([[cosine(r, c) for c in cols] for r in rows])
+    u, v = _unit_rows(rows), _unit_rows(cols)
+    if u.shape[1] != v.shape[1]:
+        raise DimMismatch("row dim %d vs column dim %d" % (u.shape[1], v.shape[1]))
     return SimilarityMatrix(
-        values,
-        list(row_labels) if row_labels is not None else list(range(len(rows))),
-        list(col_labels) if col_labels is not None else list(range(len(cols))),
+        u @ v.T,
+        list(row_labels) if row_labels is not None else list(range(len(u))),
+        list(col_labels) if col_labels is not None else list(range(len(v))),
     )
 
 
@@ -64,8 +67,8 @@ def abx_select(reference, candidates) -> int:
     """
     if len(candidates) < 2:
         raise DimMismatch("need at least 2 candidates")
-    sims = [cosine(reference, c) for c in candidates]
-    return int(np.argmax(sims))
+    u = _unit_rows([reference, *candidates])
+    return int(np.argmax(u[1:] @ u[0]))
 
 
 def matrix_to_csv(m: SimilarityMatrix) -> str:

@@ -138,6 +138,17 @@ def loop_backbone(mel_frames, params, cfg):
     return frame_states, pooled
 
 
+# --- scoring reference --------------------------------------------------------
+
+
+def loop_cosine(a, b):
+    """Cosine of two vectors: exactly rounded sums (math.fsum) over the products."""
+    dot = math.fsum(x * y for x, y in zip(a, b))
+    norm_a = math.sqrt(math.fsum(x * x for x in a))
+    norm_b = math.sqrt(math.fsum(y * y for y in b))
+    return dot / (norm_a * norm_b)
+
+
 # --- DSP references ---------------------------------------------------------
 
 

@@ -156,6 +156,7 @@ class TestResample:
             (44099, 22050, 300),
             (16000, 22050, 360),
             (16000, 22050, 50),
+            (384000, 22050, 1000),
         ],
         ids=[
             "16000-22050",
@@ -169,6 +170,7 @@ class TestResample:
             "44099-22050",
             "16000-22050-beyond_one_period",
             "16000-22050-fewer_outputs_than_phases",
+            "384000-22050-max_rate",
         ],
     )
     def test_matches_loop_oracle(self, src, target, n):
@@ -183,6 +185,9 @@ class TestResample:
             resample(sine(440.0, sr=8000), 2000)
         with pytest.raises(RateOutOfRange):
             resample(AudioBuffer(np.zeros(100), 1000), 22050)
+        for src, target in ((384001, 22050), (22050, 384001), (2**32 - 1, 22050)):
+            with pytest.raises(RateOutOfRange):
+                resample(AudioBuffer(np.zeros(100), src), target)
 
 
 def test_buffer_immutable():

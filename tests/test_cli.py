@@ -257,6 +257,21 @@ class TestEmbed:
         assert one_line(capsys.readouterr().err, "error: ")
         assert not list(out.iterdir())
 
+    def test_rate_beyond_bound_exit_2(self, tmp_path, weights_file, capsys):
+        # a header claiming 2**32 - 1 Hz over four samples: refused before the kernel is built
+        fmt = struct.pack("<IHHIIHH", 16, 1, 1, 2**32 - 1, 0, 2, 16)
+        data = struct.pack("<4h", 0, 100, -100, 0)
+        wav = b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(data)) + b"WAVE"
+        (tmp_path / "fast.wav").write_bytes(wav + b"fmt " + fmt + b"data" + struct.pack("<I", len(data)) + data)
+        manifest = tmp_path / "fast.jsonl"
+        manifest.write_text(json.dumps({"path": "fast.wav", "utterance_id": "f", "speaker_id": "s"}) + "\n")
+        out = tmp_path / "fast"
+        capsys.readouterr()
+        assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert one_line(err, "error: ") and "384000" in err
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize(
         "fields",
         [
@@ -482,14 +497,17 @@ class TestSimmatrixAbx:
             '{"mode": "SE"}',
             '{"mode": "SE", "d": 2, "config_hash": "", "values": ["a", 1]}',
             '{"mode": "SE", "d": 2, "config_hash": "", "values": [NaN, 1]}',
+            '{"mode": "SE", "d": 2, "config_hash": "", "values": [[1, 0], [0, 1]]}',
         ],
-        ids=["unparseable", "list", "no_values", "str_value", "nan_value"],
+        ids=["unparseable", "list", "no_values", "str_value", "nan_value", "nested_values"],
     )
     def test_bad_embedding_json_exit_2(self, index_dir, tmp_path, capsys, text):
-        (index_dir / "b2.json").write_text(text)
+        # a1 is the first entry and is given to abx twice, so the bad vector is also scored against itself
+        (index_dir / "a1.json").write_text(text)
         assert main(["simmatrix", str(index_dir / "index.json"), "--out", str(tmp_path / "sim")]) == 2
         assert one_line(capsys.readouterr().err, "error: ")
-        assert main(["abx", "--reference", str(index_dir / "a1.json"), str(index_dir / "b1.json"), str(index_dir / "b2.json")]) == 2
+        assert main(["abx", "--reference", str(index_dir / "a1.json"), str(index_dir / "a1.json"), str(index_dir / "b1.json")]) == 2
+        assert one_line(capsys.readouterr().err, "error: ")
 
     def test_abx_truncated_emb_exit_2(self, tmp_path, capsys):
         self.write_emb_index(tmp_path / "emb", lambda uid, blob: blob[:-3] if uid == "b1" else blob)

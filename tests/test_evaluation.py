@@ -11,6 +11,7 @@ from agvoice.evaluation import (
     matrix_to_csv,
     matrix_to_pgm,
 )
+from oracles import loop_cosine
 
 
 class TestCosine:
@@ -55,7 +56,38 @@ class TestCrossSimilarity:
         m = cross_similarity(rows, cols)
         for i in range(3):
             for j in range(3):
-                assert abs(m.values[i, j] - cosine(rows[i], cols[j])) < 1e-12
+                assert abs(m.values[i, j] - loop_cosine(rows[i], cols[j])) < 1e-12
+
+    def test_rectangular_wide_magnitudes_match_loop(self, rng):
+        rows = [rng.standard_normal(6) * 10.0 ** rng.uniform(-3, 3) for _ in range(7)]
+        cols = [rng.standard_normal(6) * 10.0 ** rng.uniform(-3, 3) for _ in range(5)]
+        m = cross_similarity(rows, cols)
+        assert m.values.shape == (7, 5)
+        want = np.array([[loop_cosine(r, c) for c in cols] for r in rows])
+        assert np.max(np.abs(m.values - want)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [np.ones(3), np.ones(4)],
+            [np.ones(2), np.eye(2)],
+            [np.eye(2)],
+            [np.float64(1.0), np.float64(2.0)],
+            [],
+        ],
+        ids=["ragged", "two_d_row", "only_two_d_row", "scalars", "empty"],
+    )
+    def test_bad_rows_dim_mismatch(self, rows):
+        with pytest.raises(DimMismatch):
+            cross_similarity(rows, rows)
+
+    def test_row_col_dims_differ(self):
+        with pytest.raises(DimMismatch):
+            cross_similarity([np.ones(3)], [np.ones(4)])
+
+    def test_zero_row(self):
+        with pytest.raises(ZeroNorm):
+            cross_similarity([np.ones(3), np.zeros(3)], [np.ones(3)])
 
     def test_transpose_property(self, rng):
         rows = [rng.standard_normal(4) for _ in range(2)]
@@ -105,7 +137,7 @@ class TestAbxSelect:
     def test_matches_full_scan(self, rng):
         ref = rng.standard_normal(6)
         cands = [rng.standard_normal(6) for _ in range(5)]
-        sims = [cosine(ref, c) for c in cands]
+        sims = [loop_cosine(ref, c) for c in cands]
         assert abx_select(ref, cands) == int(np.argmax(sims))
 
     def test_permutation_equivariant(self, rng):
