@@ -9,7 +9,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,8 +22,9 @@ from .nn import SCALE_MODES, gradcheck, scaled_dot_attention, attention_backward
 
 MODE_FLAGS = {"+".join(("se",) + cues): mode for mode, cues in MODES.items()}
 
-# Config field -> (flag, argparse options). A field without a flag, and a
-# flag left out, keeps the dataclass default.
+# `init`'s config flags: config field -> (flag, argparse options). A field
+# without a flag, and a flag left out, keeps the dataclass default. Every
+# other command takes the config from the weight file.
 CONFIG_FLAGS = {
     "mode": ("--mode", dict(choices=sorted(MODE_FLAGS))),
     "splitting": ("--no-split", dict(action="store_false")),
@@ -36,11 +36,6 @@ CONFIG_FLAGS = {
 }
 
 
-def _add_config_flags(p):
-    for name, (flag, opts) in CONFIG_FLAGS.items():
-        p.add_argument(flag, dest=name, default=None, **opts)
-
-
 def _given_fields(args):
     """The config fields set by flag, with dataclass values."""
     given = {name: getattr(args, name) for name in CONFIG_FLAGS if getattr(args, name) is not None}
@@ -49,17 +44,19 @@ def _given_fields(args):
     return given
 
 
-def _check_flag_conflicts(args, bb, agg):
-    """Any explicitly given flag must agree with the weight file's config."""
-    stored = aggregation.config_fields(bb, agg)
-    for name, given in _given_fields(args).items():
-        if given != stored[name]:
-            raise ConfigError("%s=%s conflicts with weight file (%s)" % (CONFIG_FLAGS[name][0], given, stored[name]))
+def _load_model(path):
+    """The tensors of a weight file and the config its header declares, checked against each other."""
+    store = weights.load(path)
+    bb, agg = weights.configs_from_dict(store.meta.get("config"))
+    weights.check_params(store, bb, agg)
+    return store, bb, agg
 
 
 def _atomic_write(path, data):
+    """Write `path` through a temp file beside it, with the mode a plain open() gives (0o666 less the umask)."""
     mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), "tmp%s" % os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode) as f:
             f.write(data)
@@ -92,8 +89,10 @@ def _manifest_record(line, lineno):
             raise InputError("manifest line %d: missing %r" % (lineno, key))
         if not isinstance(rec[key], str):
             raise InputError("manifest line %d: %r must be a string" % (lineno, key))
+    if "\0" in rec["path"]:
+        raise InputError("manifest line %d: path holds a NUL character" % lineno)
     uid = rec["utterance_id"]
-    if uid in ("", ".", "..") or "/" in uid or "\\" in uid:
+    if uid in ("", ".", "..") or "/" in uid or "\\" in uid or "\0" in uid:
         raise InputError("manifest line %d: utterance_id %r is not a plain file name" % (lineno, uid))
     return rec
 
@@ -154,10 +153,7 @@ def _num_threads():
 
 def cmd_embed(args):
     n_workers = _num_threads()
-    store = weights.load(args.weights)
-    bb, agg = weights.configs_from_dict(store.meta.get("config"))
-    _check_flag_conflicts(args, bb, agg)
-    weights.check_params(store, bb, agg)
+    store, bb, agg = _load_model(args.weights)
     records = _read_manifest(args.manifest)
     os.makedirs(args.out, exist_ok=True)
     ext, serialize = {
@@ -393,7 +389,7 @@ def cmd_selftest(args):
 
     # serialization round trip
     if args.weights:
-        store = weights.load(args.weights)  # raises ConfigError -> exit 3
+        store, _, _ = _load_model(args.weights)  # raises ConfigError -> exit 3
         print("weight file ok: %d tensors" % len(store.entries))
     bb = BackboneConfig(channels=16, d_model=8)
     agg = AggregationConfig(mode="SE_F0_then_ME", n_tokens=2, heads=2, d_model=8)
@@ -420,7 +416,8 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("init", help="create a seeded weight file")
-    _add_config_flags(sp)
+    for name, (flag, opts) in CONFIG_FLAGS.items():
+        sp.add_argument(flag, dest=name, default=None, **opts)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True, metavar="PATH")
     sp.set_defaults(func=cmd_init)
@@ -431,7 +428,6 @@ def build_parser():
 
     sp = sub.add_parser("embed", help="extract embeddings for a JSONL manifest")
     sp.add_argument("manifest")
-    _add_config_flags(sp)
     sp.add_argument("--weights", required=True, metavar="PATH")
     sp.add_argument("--out", required=True, metavar="DIR")
     sp.add_argument("--format", choices=["json", "bin"], default="json")

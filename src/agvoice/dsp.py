@@ -208,7 +208,8 @@ def yin_f0(buf: AudioBuffer) -> F0Contour:
 
 def mel_to_csv(mel: MelSpectrogram) -> str:
     """CSV dump: one row per frame, 9 significant digits."""
-    return "\n".join(",".join("%.9g" % v for v in row) for row in mel.frames) + "\n"
+    row_format = ",".join(["%.9g"] * mel.frames.shape[1])
+    return "\n".join(row_format % tuple(row.tolist()) for row in mel.frames) + "\n"
 
 
 def f0_to_csv(contour: F0Contour) -> str:

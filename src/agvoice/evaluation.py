@@ -73,8 +73,10 @@ def abx_select(reference, candidates) -> int:
 
 def matrix_to_csv(m: SimilarityMatrix) -> str:
     lines = ["," + ",".join(str(c) for c in m.col_labels)]
+    # one % per row; rows convert one at a time, so no second copy of the matrix is held
+    row_format = "%s," + ",".join(["%.9g"] * m.values.shape[1])
     for label, row in zip(m.row_labels, m.values):
-        lines.append(str(label) + "," + ",".join("%.9g" % v for v in row))
+        lines.append(row_format % (label, *row.tolist()))
     return "\n".join(lines) + "\n"
 
 

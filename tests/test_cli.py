@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -176,9 +178,15 @@ class TestEmbed:
             vecs[mode] = json.loads((out / "utt0.json").read_text())["values"]
         assert vecs["se"] != vecs["se+f0+me"]
 
-    def test_flag_conflict_exit_3(self, tmp_path, weights_file, manifest):
-        rc = main(["embed", str(manifest), "--mode", "se", "--weights", str(weights_file), "--out", str(tmp_path / "x")])
-        assert rc == 3
+    @pytest.mark.parametrize("flag", [["--mode", "se"], ["--channels", "16"]], ids=["conflicting", "matching"])
+    def test_config_flag_is_usage_error(self, tmp_path, weights_file, manifest, capsys, flag):
+        # the weight file is the one source of the config: embed takes no config flag, even one that agrees
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", str(manifest), *flag, "--weights", str(weights_file), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_manifest_exit_2(self, tmp_path, weights_file):
         assert main(["embed", str(tmp_path / "nope.jsonl"), "--weights", str(weights_file), "--out", str(tmp_path / "x")]) == 2
@@ -210,20 +218,23 @@ class TestEmbed:
             drop("meta"),
             drop("tensors"),
             negate_dims,
+            set_config(mode="SE"),
         ],
         ids=[
             "n_blocks_vs_dilations", "unknown_mode", "unknown_scale_mode", "no_config", "no_heads",
             "heads_str", "dilations_int", "dilations_empty", "heads_zero", "heads_negative", "tokens_zero",
             "channels_zero", "splitting_str", "mode_list", "in_dim_40", "header_not_object", "no_meta", "no_tensors",
-            "negative_dims",
+            "negative_dims", "mode_vs_tensors",
         ],
     )
     def test_bad_header_config_exit_3(self, tmp_path, weights_file, manifest, capsys, edit):
+        # selftest --weights opens the file as embed does, so it refuses the same files
         bad = write_edited(weights_file, edit, tmp_path / "bad.agvw")
-        capsys.readouterr()
-        assert main(["embed", str(manifest), "--weights", str(bad), "--out", str(tmp_path / "x")]) == 3
-        err = capsys.readouterr().err
-        assert one_line(err, "config error: "), err
+        for argv in (["embed", str(manifest), "--out", str(tmp_path / "x")], ["selftest", "--seed", "0"]):
+            capsys.readouterr()
+            assert main([*argv, "--weights", str(bad)]) == 3, argv[0]
+            err = capsys.readouterr().err
+            assert one_line(err, "config error: "), (argv[0], err)
 
     def test_non_finite_weights_exit_3(self, tmp_path, weights_file, manifest, capsys):
         blob = bytearray(weights_file.read_bytes())
@@ -284,8 +295,13 @@ class TestEmbed:
             {"utterance_id": 7},
             {"speaker_id": None},
             {"language": ["xx"]},
+            {"path": "utt0.wav\0x"},
+            {"utterance_id": "u\0x"},
         ],
-        ids=["path_int", "id_parent", "id_slash", "id_backslash", "id_empty", "id_dotdot", "id_int", "speaker_null", "language_list"],
+        ids=[
+            "path_int", "id_parent", "id_slash", "id_backslash", "id_empty", "id_dotdot", "id_int", "speaker_null",
+            "language_list", "path_nul", "id_nul",
+        ],
     )
     def test_bad_manifest_record_exit_2(self, tmp_path, weights_file, manifest, capsys, fields):
         rec = {"path": "utt0.wav", "utterance_id": "u", "speaker_id": "s", "language": "xx", **fields}
@@ -357,6 +373,20 @@ class TestEmbed:
         files, err = runs[0]
         assert sorted(files) == ["c00.json", "c01.json", "c02.json", "c03.json", "index.json"]
         assert err.startswith("SKIP missing: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("umask,file_mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+    def test_outputs_follow_umask(self, tmp_path, weights_file, manifest, umask, file_mode):
+        previous = os.umask(umask)
+        try:
+            for fmt in ("json", "bin"):
+                assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(tmp_path / fmt), "--format", fmt]) == 0
+            assert main(["simmatrix", str(tmp_path / "json" / "index.json"), "--out", str(tmp_path / "sim")]) == 0
+        finally:
+            os.umask(previous)
+        written = [*(tmp_path / "json").iterdir(), *(tmp_path / "bin").iterdir(), tmp_path / "sim.csv", tmp_path / "sim.pgm"]
+        assert len(written) == 2 * 4 + 2
+        modes = {str(p.relative_to(tmp_path)): stat.S_IMODE(p.stat().st_mode) for p in written}
+        assert modes == {name: file_mode for name in modes}
 
     def test_binary_format(self, tmp_path, weights_file, manifest):
         out = tmp_path / "bin"
