@@ -43,6 +43,9 @@ MODES = {
 }
 # Cue -> the parameter group of its encoder, under `agg.`.
 ENCODERS = {"f0": "f0_enc", "me": "mel_enc"}
+# Query rows per attention block in an aggregation level: a level holds at
+# most ATTENTION_ROWS x T weights instead of T x T.
+ATTENTION_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -130,11 +133,19 @@ def _check_aligned(h_query, h_kv):
 def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt"):
     """One aggregation level: project q/k/v, attend, no residual.
 
-    Both inputs must have the same frame count; returns (output, trace).
+    Both inputs must have the same frame count T. The output is computed
+    in blocks of ATTENTION_ROWS query rows against all of K and V; each
+    row's softmax sees every key, so each row is the dense kernel's (up
+    to BLAS rounding) while only ATTENTION_ROWS x T weights exist at a
+    time. Returns (output, None): the T x T weights are never held, so
+    there is no trace to return.
     """
     _check_aligned(h_query, h_kv)
-    trace = scaled_dot_attention(*project_qkv((h_query, h_kv, h_kv), params), scale_mode)
-    return trace.output, trace
+    q, k, v = project_qkv((h_query, h_kv, h_kv), params)
+    out = np.empty((q.shape[0], v.shape[1]))
+    for i in range(0, q.shape[0], ATTENTION_ROWS):
+        out[i : i + ATTENTION_ROWS] = scaled_dot_attention(q[i : i + ATTENTION_ROWS], k, v, scale_mode).output
+    return out, None
 
 
 def level1_attention(h_sv, h_prompt, params, scale_mode="sqrt"):

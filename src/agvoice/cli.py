@@ -89,6 +89,10 @@ def _manifest_record(line, lineno):
             raise InputError("manifest line %d: missing %r" % (lineno, key))
         if not isinstance(rec[key], str):
             raise InputError("manifest line %d: %r must be a string" % (lineno, key))
+        try:
+            rec[key].encode("utf-8")
+        except UnicodeEncodeError:
+            raise InputError("manifest line %d: %r is not valid UTF-8 (lone surrogate)" % (lineno, key)) from None
     if "\0" in rec["path"]:
         raise InputError("manifest line %d: path holds a NUL character" % lineno)
     uid = rec["utterance_id"]

@@ -1,9 +1,10 @@
 """Dense kernels the backbone and aggregation stages are built from.
 
-Everything is float64, pure, and deterministic. Attention keeps its
-softmax weights around (AttentionTrace) so downstream code can assert
-convexity / inspect what got attended to, and so the analytic backward
-does not have to recompute them.
+Everything is float64, pure, and deterministic. The dense attention
+kernel returns its Tq x Tk softmax weights with the output
+(AttentionTrace), so the analytic backward does not have to recompute
+them. Only this dense kernel keeps weights: the aggregation levels call
+it on blocks of query rows and keep just the output.
 """
 
 from dataclasses import dataclass

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from agvoice.aggregation import (
+    ATTENTION_ROWS as ROWS,
     MODES,
     AggregationConfig,
     config_hash,
@@ -22,7 +25,7 @@ from agvoice.aggregation import (
 from agvoice.backbone import BackboneConfig, backbone_forward
 from agvoice.dsp import F0Contour, MelSpectrogram, mel_spectrogram
 from agvoice.errors import EmptyContour, ShapeMismatch
-from agvoice.nn import affine, glu_gated_conv, gradcheck, param_group, relu, scaled_dot_attention
+from agvoice.nn import affine, glu_gated_conv, gradcheck, param_group, project_qkv, relu, scaled_dot_attention
 from agvoice.weights import init_params
 from conftest import sine
 from oracles import loop_attention, loop_mha, reference_embedding
@@ -158,15 +161,16 @@ class TestAttentionLevels:
         assert np.max(np.abs(out - v.mean(axis=0))) < 1e-12
 
     def test_matches_composed_oracle(self, rng):
-        d = 8
-        p = stage_params(rng, d)
-        hq, hkv = rng.standard_normal((4, d)), rng.standard_normal((4, d))
-        for mode in ("sqrt", "linear"):
-            out = level1_attention(hq, hkv, p, mode)
-            ref = loop_attention(
-                hq @ p["wq"] + p["bq"], hkv @ p["wk"] + p["bk"], hkv @ p["wv"] + p["bv"], mode
-            )
-            assert np.max(np.abs(out - ref)) < 1e-12
+        # one block, then two blocks of which the last holds one row
+        for t, d in ((4, 8), (ROWS + 1, 2)):
+            p = stage_params(rng, d)
+            hq, hkv = rng.standard_normal((t, d)), rng.standard_normal((t, d))
+            for mode in ("sqrt", "linear"):
+                out = level1_attention(hq, hkv, p, mode)
+                ref = loop_attention(
+                    hq @ p["wq"] + p["bq"], hkv @ p["wk"] + p["bk"], hkv @ p["wv"] + p["bv"], mode
+                )
+                assert np.max(np.abs(out - ref)) < 1e-12
 
     def test_unequal_lengths_rejected(self, rng):
         # the shared framing makes every stream the same length, so a
@@ -183,10 +187,46 @@ class TestAttentionLevels:
         d = 5
         p = stage_params(rng, d)
         hq, hkv = rng.standard_normal((5, d)), rng.standard_normal((5, d))
-        _, trace = cross_attention_stage(hq, hkv, p)
+        out, _ = cross_attention_stage(hq, hkv, p)
         v = affine(hkv, p["wv"], p["bv"])
-        assert (trace.output <= v.max(axis=0) + 1e-12).all()
-        assert (trace.output >= v.min(axis=0) - 1e-12).all()
+        assert (out <= v.max(axis=0) + 1e-12).all()
+        assert (out >= v.min(axis=0) - 1e-12).all()
+
+
+class TestBlockedStage:
+    """cross_attention_stage works in blocks of ATTENTION_ROWS query rows."""
+
+    @pytest.mark.parametrize("t", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
+    @pytest.mark.parametrize("mode", ["sqrt", "linear"])
+    def test_matches_dense_kernel(self, rng, t, mode):
+        d = 8
+        p = stage_params(rng, d)
+        hq, hkv = rng.standard_normal((t, d)), rng.standard_normal((t, d))
+        out, second = cross_attention_stage(hq, hkv, p, mode)
+        assert second is None
+        q, k, v = project_qkv((hq, hkv, hkv), p)
+        dense = scaled_dot_attention(q, k, v, mode).output
+        # Each block is the dense kernel on its rows with every key and value.
+        blocks = [scaled_dot_attention(q[i : i + ROWS], k, v, mode).output for i in range(0, t, ROWS)]
+        assert np.array_equal(out, np.concatenate(blocks))
+        if t <= ROWS:
+            assert np.array_equal(out, dense)
+        else:
+            # BLAS may round a row differently when it sits in a matrix of
+            # another height, so across blocks the match is to the last ulps.
+            assert np.max(np.abs(out - dense)) < 1e-14
+
+    def test_peak_memory_below_one_score_matrix(self, rng):
+        d, t = 8, 2048
+        p = stage_params(rng, d)
+        hq, hkv = rng.standard_normal((t, d)), rng.standard_normal((t, d))
+        tracemalloc.start()
+        try:
+            cross_attention_stage(hq, hkv, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < t * t * 8
 
 
 class TestSplitAndFuse:

@@ -297,10 +297,12 @@ class TestEmbed:
             {"language": ["xx"]},
             {"path": "utt0.wav\0x"},
             {"utterance_id": "u\0x"},
+            {"path": "a\ud800.wav"},
+            {"utterance_id": "u\udfff"},
         ],
         ids=[
             "path_int", "id_parent", "id_slash", "id_backslash", "id_empty", "id_dotdot", "id_int", "speaker_null",
-            "language_list", "path_nul", "id_nul",
+            "language_list", "path_nul", "id_nul", "path_surrogate", "id_surrogate",
         ],
     )
     def test_bad_manifest_record_exit_2(self, tmp_path, weights_file, manifest, capsys, fields):
