@@ -105,17 +105,21 @@ def _read_manifest(path):
     records = []
     base = os.path.dirname(os.path.abspath(path))
     try:
-        with open(path, encoding="utf-8") as f:
-            for i, line in enumerate(f):
-                line = line.strip()
-                if not line:
-                    continue
-                rec = _manifest_record(line, i + 1)
-                if not os.path.isabs(rec["path"]):
-                    rec["path"] = os.path.join(base, rec["path"])
-                records.append(rec)
+        with open(path, "rb") as f:
+            lines = f.read().splitlines()
     except OSError as e:
         raise InputError("cannot read manifest: %s" % e) from None
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise InputError("manifest line %d is not valid UTF-8" % lineno) from None
+        if not line:
+            continue
+        rec = _manifest_record(line, lineno)
+        if not os.path.isabs(rec["path"]):
+            rec["path"] = os.path.join(base, rec["path"])
+        records.append(rec)
     ids = [r["utterance_id"] for r in records]
     if len(ids) != len(set(ids)):
         raise InputError("duplicate utterance_id in manifest")

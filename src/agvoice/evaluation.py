@@ -71,12 +71,20 @@ def abx_select(reference, candidates) -> int:
     return int(np.argmax(u[1:] @ u[0]))
 
 
+def _csv_field(label) -> str:
+    """A label as one RFC 4180 field: quoted, inner quotes doubled, only when it needs it."""
+    text = str(label)
+    if any(ch in text for ch in ',"\r\n'):
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
 def matrix_to_csv(m: SimilarityMatrix) -> str:
-    lines = ["," + ",".join(str(c) for c in m.col_labels)]
+    lines = ["," + ",".join(_csv_field(c) for c in m.col_labels)]
     # one % per row; rows convert one at a time, so no second copy of the matrix is held
     row_format = "%s," + ",".join(["%.9g"] * m.values.shape[1])
     for label, row in zip(m.row_labels, m.values):
-        lines.append(row_format % (label, *row.tolist()))
+        lines.append(row_format % (_csv_field(label), *row.tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -214,6 +214,9 @@ def load(source) -> ParamStore:
         tensors = [(str(t["name"]), tuple(int(s) for s in t["shape"])) for t in header["tensors"]]
     except (KeyError, TypeError, ValueError):
         raise HeaderMismatch("header has no well-formed tensor list") from None
+    names = [name for name, _ in tensors]
+    if len(set(names)) != len(names):
+        raise HeaderMismatch("tensor %r is listed more than once" % next(n for n in names if names.count(n) > 1))
     if any(s <= 0 for _, shape in tensors for s in shape):
         raise HeaderMismatch("tensor dimension is not positive")
     counts = [int(np.prod(shape, dtype=np.int64)) for _, shape in tensors]

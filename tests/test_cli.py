@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import stat
@@ -140,6 +141,24 @@ class TestInitInspect:
         capsys.readouterr()
         assert main(["inspect", "--weights", str(bad)]) == 3
         assert one_line(capsys.readouterr().err, "config error: ")
+
+    def test_repeated_tensor_name_exit_3(self, tmp_path, weights_file, manifest, capsys):
+        # list agg.f0_enc.fc1.bias twice, with its payload appended, so every size still adds up
+        blob = weights_file.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12 : 12 + hlen])
+        bias = next(t for t in header["tensors"] if t["name"] == "agg.f0_enc.fc1.bias")
+        extra = weights.load(weights_file)["agg.f0_enc.fc1.bias"].astype("<f4").tobytes()
+        header["tensors"].append(dict(bias))
+        header["payload_bytes"] += len(extra)
+        edited = json.dumps(header).encode()
+        bad = tmp_path / "twice.agvw"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + hlen :] + extra)
+        for argv in (["inspect"], ["embed", str(manifest), "--out", str(tmp_path / "x")]):
+            capsys.readouterr()
+            assert main([*argv, "--weights", str(bad)]) == 3, argv[0]
+            err = capsys.readouterr().err
+            assert one_line(err, "config error: ") and "agg.f0_enc.fc1.bias" in err, (argv[0], err)
 
 
 class TestEmbed:
@@ -320,6 +339,15 @@ class TestEmbed:
         assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(tmp_path / "x")]) == 2
         assert one_line(capsys.readouterr().err, "error: ")
 
+    def test_manifest_not_utf8_exit_2(self, tmp_path, weights_file, manifest, capsys):
+        manifest.write_bytes(manifest.read_bytes() + b'{"path": "utt0.wav", "utterance_id": "u\xff1", "speaker_id": "s"}\n')
+        out = tmp_path / "deep" / "out"
+        capsys.readouterr()
+        assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert one_line(err, "error: ") and "line 4 " in err
+        assert not (tmp_path / "deep").exists()
+
     @pytest.mark.parametrize("value", ["x", "0", "-1", "1.5", ""])
     def test_bad_num_threads_exit_3(self, tmp_path, weights_file, manifest, capsys, monkeypatch, value):
         monkeypatch.setenv("AGV_NUM_THREADS", value)
@@ -481,6 +509,25 @@ class TestSimmatrixAbx:
         csv = (tmp_path / "grp.csv").read_text().strip().split("\n")
         assert len(csv) == 3  # header + groups a, b
         assert "diagonal_dominance 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("group_by", [None, "speaker"])
+    def test_csv_labels_quoted(self, tmp_path, group_by):
+        out = tmp_path / "odd"
+        out.mkdir()
+        ids = ["u,1", "u\n2", 'u"3']
+        entries = []
+        for i, uid in enumerate(ids):
+            (out / ("%d.json" % i)).write_text(json.dumps({"mode": "SE", "d": 2, "config_hash": "0" * 16, "values": [1.0, i]}))
+            entries.append({"utterance_id": uid, "speaker_id": "s" + uid, "language": "xx", "file": "%d.json" % i})
+        (out / "index.json").write_text(json.dumps({"config_hash": "0" * 16, "mode": "SE", "d": 2, "format": "json", "entries": entries}))
+        prefix = str(tmp_path / "odd_sim")
+        assert main(["simmatrix", str(out / "index.json"), "--out", prefix, *(["--group-by", group_by] if group_by else [])]) == 0
+        with open(prefix + ".csv", newline="") as f:
+            rows = list(csv.reader(f))
+        labels = sorted("s" + uid for uid in ids) if group_by else ids
+        assert rows[0] == ["", *labels]
+        assert [row[0] for row in rows[1:]] == labels
+        assert all(len(row) == len(labels) + 1 for row in rows)
 
     @staticmethod
     def write_emb_index(directory, edit_blob=lambda uid, blob: blob, **index_fields):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from agvoice.audio_io import AudioBuffer
 from agvoice.dsp import (
     MEL_FLOOR,
+    YIN_FRAMES,
     f0_to_csv,
     filter_centers_hz,
     frame_count,
@@ -121,6 +124,37 @@ class TestYin:
             assert voiced == c.voiced[t]
             assert abs(f0 - c.f0_hz[t]) < 1e-6
             assert abs(cmnd - c.cmnd_min[t]) < 1e-8
+
+    def test_whole_clip_matches_brute_oracle_across_blocks(self, rng):
+        # 2 * YIN_FRAMES + 1 frames: two full blocks and a one-frame tail
+        n = 1024 + 2 * YIN_FRAMES * 256
+        saw = sawtooth(131.0, seconds=n / SR).samples[:n]
+        noise = 0.1 * rng.standard_normal(n)
+        kind = (np.arange(n) // 2560) % 3  # sawtooth, noise and exact zeros, ten hops each
+        x = np.where(kind == 0, saw, np.where(kind == 1, noise, 0.0))
+        c = yin_f0(AudioBuffer(x, SR))
+        frames = np.lib.stride_tricks.sliding_window_view(x, 1024)[::256]
+        assert len(c) == len(frames) == 2 * YIN_FRAMES + 1
+        silent = ~frames.any(axis=1)
+        for block in (slice(0, YIN_FRAMES), slice(YIN_FRAMES, None)):
+            voiced = c.voiced[block]
+            assert voiced.any() and silent[block].any() and (~voiced & ~silent[block]).any()
+        for t, frame in enumerate(frames):
+            f0, voiced, cmnd = brute_yin_frame(frame)
+            assert voiced == c.voiced[t], t
+            assert abs(f0 - c.f0_hz[t]) < 1e-9, t
+            assert abs(cmnd - c.cmnd_min[t]) < 1e-9, t
+
+    def test_peak_memory_is_per_block(self):
+        # the working set is a few YIN_FRAMES x 2*WIN arrays, not T x 2*WIN (~85 MB at 60 s)
+        buf = sawtooth(110.0, seconds=60.0)
+        tracemalloc.start()
+        try:
+            yin_f0(buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_cmnd_against_brute(self, rng):
         frame = rng.standard_normal(1024)

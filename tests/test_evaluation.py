@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -158,6 +161,15 @@ class TestExports:
         lines = matrix_to_csv(m).strip().split("\n")
         assert lines[0] == ",c1,c2"
         assert lines[1].startswith("r1,1,")
+
+    def test_csv_quotes_only_labels_that_need_it(self):
+        labels = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\r"]
+        m = SimilarityMatrix(np.eye(5), labels, labels)
+        text = matrix_to_csv(m)
+        assert text.startswith(',plain,"a,b","say ""hi""","two\nlines","cr\r"\n')
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows[0] == ["", *labels]
+        assert [row[0] for row in rows[1:]] == labels
 
     def test_pgm_header_and_mapping(self):
         m = SimilarityMatrix(np.array([[-1.0, 0.0], [1.0, 0.5]]), ["a", "b"], ["a", "b"])
