@@ -14,8 +14,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .audio_io import CANONICAL_RATE, AudioBuffer, resample
-from .backbone import BackboneConfig, backbone_forward, require_positive_int
-from .dsp import F0Contour, MelSpectrogram, mel_spectrogram, yin_f0
+from .backbone import DILATIONS, RES2_SCALE, BackboneConfig, backbone_forward, require_positive_int
+from .dsp import N_MELS, F0Contour, MelSpectrogram, mel_spectrogram, yin_f0
 from .errors import EmptyContour, IndivisibleHeads, InvalidConfig, ShapeMismatch
 from .nn import (
     SCALE_MODES,
@@ -43,6 +43,8 @@ MODES = {
 }
 # Cue -> the parameter group of its encoder, under `agg.`.
 ENCODERS = {"f0": "f0_enc", "me": "mel_enc"}
+# The backbone shape no config sets; config_hash and weight files still carry it.
+FIXED_FIELDS = {"in_dim": N_MELS, "scale": RES2_SCALE, "dilations": DILATIONS}
 # Query rows per attention block in an aggregation level: a level holds at
 # most ATTENTION_ROWS x T weights instead of T x T.
 ATTENTION_ROWS = 256
@@ -82,8 +84,8 @@ class SpeakerEmbedding:
 
 
 def config_fields(backbone_cfg: BackboneConfig, agg_cfg: AggregationConfig) -> dict:
-    """Every field of both configs by name; the shared d_model is the backbone's."""
-    return {f.name: getattr(cfg, f.name) for cfg in (agg_cfg, backbone_cfg) for f in fields(cfg)}
+    """FIXED_FIELDS and every field of both configs by name; the shared d_model is the backbone's."""
+    return {**FIXED_FIELDS, **{f.name: getattr(cfg, f.name) for cfg in (agg_cfg, backbone_cfg) for f in fields(cfg)}}
 
 
 def configs_from_fields(values: dict):
@@ -222,7 +224,7 @@ def extract_embedding(buf: AudioBuffer, store, backbone_cfg: BackboneConfig, agg
         buf = resample(buf, CANONICAL_RATE)
     mel = mel_spectrogram(buf)
     contour = yin_f0(buf) if "f0" in agg_cfg.cues else None
-    bb = backbone_forward(mel, param_group(store.entries, "backbone"), backbone_cfg)
+    bb = backbone_forward(mel, param_group(store.entries, "backbone"))
     vec = aggregate(bb.frame_states, bb.pooled, mel, contour, param_group(store.entries, "agg"), agg_cfg)
     return SpeakerEmbedding(vec, agg_cfg.mode, config_hash(backbone_cfg, agg_cfg))
 
@@ -244,11 +246,16 @@ def embedding_to_json(emb: SpeakerEmbedding) -> str:
 
 def embedding_from_json(text: str) -> SpeakerEmbedding:
     obj = json.loads(text)
-    vec = np.asarray(obj["values"], dtype=np.float64)
-    if vec.ndim != 1:
-        raise ShapeMismatch("values must be a flat list, got shape %s" % (vec.shape,))
-    if len(vec) != obj["d"]:
-        raise ShapeMismatch("declared d=%d but %d values" % (obj["d"], len(vec)))
+    values, d = obj["values"], obj["d"]
+    # json gives bool for true/false, so exact types keep them out
+    if type(values) is not list or not all(type(v) in (int, float) for v in values):
+        raise ShapeMismatch("values must be a flat list of numbers")
+    if type(d) is not int or len(values) != d:
+        raise ShapeMismatch("declared d=%r but %d values" % (d, len(values)))
+    try:
+        vec = np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ShapeMismatch("a value is too large for float64") from None
     return SpeakerEmbedding(vec, obj["mode"], obj["config_hash"])
 
 
@@ -267,7 +274,6 @@ def embedding_from_bytes(data: bytes) -> SpeakerEmbedding:
     if len(data) < 12:
         raise ShapeMismatch("truncated embedding header")
     (d,) = struct.unpack_from("<I", data, 8)
-    vec = np.frombuffer(data[12 : 12 + 4 * d], dtype="<f4").astype(np.float64)
-    if len(vec) != d:
-        raise ShapeMismatch("truncated embedding payload")
-    return SpeakerEmbedding(vec, "", "")
+    if len(data) != 12 + 4 * d:
+        raise ShapeMismatch("embedding payload is %d bytes, d=%d needs %d" % (len(data) - 12, d, 4 * d))
+    return SpeakerEmbedding(np.frombuffer(data, dtype="<f4", offset=12).astype(np.float64), "", "")

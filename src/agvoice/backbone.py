@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import N_MELS, MelSpectrogram
+from .dsp import MelSpectrogram
 from .errors import IndivisibleScale, InvalidConfig
 from .nn import affine, conv1d, param_group, relu, sigmoid, softmax_rows
 
@@ -20,30 +20,23 @@ def require_positive_int(name, value):
         raise InvalidConfig("%s must be a positive integer, got %r" % (name, value))
 
 
+# The ECAPA-TDNN shape the paper uses: each SE-Res2 block splits its
+# channels into RES2_SCALE groups, one block per dilation. The input is
+# the front end's N_MELS bands.
+RES2_SCALE = 8
+DILATIONS = (2, 3, 4)
+
+
 @dataclass(frozen=True)
 class BackboneConfig:
-    in_dim: int = N_MELS        # fixed by the front end; weight files carry it
     channels: int = 64          # paper scale: 512
-    scale: int = 8
-    dilations: tuple = (2, 3, 4)  # one SE-Res2 block per dilation
     d_model: int = 192
 
     def __post_init__(self):
-        if self.in_dim != N_MELS:
-            raise InvalidConfig("in_dim=%r, but the front end gives %d mel bands" % (self.in_dim, N_MELS))
-        for name in ("channels", "scale", "d_model"):
+        for name in ("channels", "d_model"):
             require_positive_int(name, getattr(self, name))
-        if not isinstance(self.dilations, (list, tuple)) or not self.dilations:
-            raise InvalidConfig("dilations must be a non-empty list, got %r" % (self.dilations,))
-        for dilation in self.dilations:
-            require_positive_int("dilation", dilation)
-        object.__setattr__(self, "dilations", tuple(self.dilations))
-        if self.channels % self.scale:
-            raise IndivisibleScale("channels=%d not divisible by scale=%d" % (self.channels, self.scale))
-
-    @property
-    def n_blocks(self):
-        return len(self.dilations)
+        if self.channels % RES2_SCALE:
+            raise IndivisibleScale("channels=%d not divisible by scale=%d" % (self.channels, RES2_SCALE))
 
     @property
     def bottleneck(self):
@@ -65,21 +58,21 @@ def se_block(x, params):
     return x * e
 
 
-def res2_block(x, dilation, params, scale=8):
+def res2_block(x, dilation, params):
     """Res2 hierarchical group convs + SE gate + residual.
 
-    Channels split into `scale` groups after a 1x1 input conv; group 1
+    Channels split into RES2_SCALE groups after a 1x1 input conv; group 1
     passes through, each later group goes through a dilated k=3 conv (and
     ReLU) of itself plus the previous group's output.
     """
     x = np.asarray(x)
     c = x.shape[1]
-    if c % scale:
-        raise IndivisibleScale("C=%d not divisible by scale=%d" % (c, scale))
-    g = c // scale
+    if c % RES2_SCALE:
+        raise IndivisibleScale("C=%d not divisible by scale=%d" % (c, RES2_SCALE))
+    g = c // RES2_SCALE
     h = affine(x, params["conv_in.weight"], params["conv_in.bias"])
     ys = [h[:, :g]]
-    for i in range(1, scale):
+    for i in range(1, RES2_SCALE):
         gi = h[:, i * g : (i + 1) * g]
         ys.append(relu(conv1d(gi + ys[-1], params["group%d.kernels" % (i + 1)], dilation)))
     h = affine(np.concatenate(ys, axis=1), params["conv_out.weight"], params["conv_out.bias"])
@@ -97,12 +90,12 @@ def attentive_stats_pooling(h, params):
     return np.concatenate([mu, sigma])
 
 
-def backbone_forward(mel: MelSpectrogram, params, cfg: BackboneConfig = BackboneConfig()) -> BackboneOutput:
+def backbone_forward(mel: MelSpectrogram, params) -> BackboneOutput:
     """Mel frames -> (frame states H, pooled vector z)."""
     x = relu(affine(mel.frames, params["conv_in.weight"], params["conv_in.bias"]))
     block_outs = []
-    for i, dil in enumerate(cfg.dilations):
-        x = res2_block(x, dil, param_group(params, "block%d" % (i + 1)), cfg.scale)
+    for i, dil in enumerate(DILATIONS):
+        x = res2_block(x, dil, param_group(params, "block%d" % (i + 1)))
         block_outs.append(x)
     agg = affine(np.concatenate(block_outs, axis=1), params["mfa.weight"], params["mfa.bias"])
     frame_states = affine(agg, params["proj_frames.weight"], params["proj_frames.bias"])

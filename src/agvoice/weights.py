@@ -7,13 +7,15 @@ float64 in memory; files store float32 payloads bit-exactly.
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import ENCODERS, AggregationConfig, config_fields, config_hash, configs_from_fields
-from .backbone import BackboneConfig
+from .aggregation import ENCODERS, FIXED_FIELDS, AggregationConfig, config_fields, config_hash, configs_from_fields
+from .backbone import DILATIONS, RES2_SCALE, BackboneConfig
+from .dsp import N_MELS
 from .errors import (
     BadMagic,
     HeaderMismatch,
@@ -46,11 +48,11 @@ def param_shapes(bb: BackboneConfig, agg: AggregationConfig) -> dict:
     if bb.d_model != agg.d_model:
         raise InvalidConfig("backbone d_model %d != aggregation d_model %d" % (bb.d_model, agg.d_model))
     c, b, d = bb.channels, bb.bottleneck, bb.d_model
-    g = c // bb.scale
+    g = c // RES2_SCALE
     shapes = {
-        "backbone.conv_in.weight": (bb.in_dim, c),
+        "backbone.conv_in.weight": (N_MELS, c),
         "backbone.conv_in.bias": (c,),
-        "backbone.mfa.weight": (bb.n_blocks * c, c),
+        "backbone.mfa.weight": (len(DILATIONS) * c, c),
         "backbone.mfa.bias": (c,),
         "backbone.proj_frames.weight": (c, d),
         "backbone.proj_frames.bias": (d,),
@@ -61,13 +63,13 @@ def param_shapes(bb: BackboneConfig, agg: AggregationConfig) -> dict:
         "backbone.proj_pooled.weight": (2 * c, d),
         "backbone.proj_pooled.bias": (d,),
     }
-    for i in range(1, bb.n_blocks + 1):
+    for i in range(1, len(DILATIONS) + 1):
         p = "backbone.block%d." % i
         shapes[p + "conv_in.weight"] = (c, c)
         shapes[p + "conv_in.bias"] = (c,)
         shapes[p + "conv_out.weight"] = (c, c)
         shapes[p + "conv_out.bias"] = (c,)
-        for j in range(2, bb.scale + 1):
+        for j in range(2, RES2_SCALE + 1):
             shapes[p + "group%d.kernels" % j] = (g, g, 3)
         shapes[p + "se.w1"] = (c, b)
         shapes[p + "se.b1"] = (b,)
@@ -77,7 +79,7 @@ def param_shapes(bb: BackboneConfig, agg: AggregationConfig) -> dict:
     encoder_shapes = {
         "f0": {"fc1.weight": (2, d), "fc1.bias": (d,), "fc2.weight": (d, d), "fc2.bias": (d,)},
         "me": {
-            "fc1.weight": (bb.in_dim, d),
+            "fc1.weight": (N_MELS, d),
             "fc1.bias": (d,),
             "fc2.weight": (d, d),
             "fc2.bias": (d,),
@@ -119,20 +121,24 @@ def _init_tensor(name, shape, seed, d_model):
 
 def _config_dict(bb: BackboneConfig, agg: AggregationConfig) -> dict:
     # n_blocks is derived, but the file format has always carried it
-    return {**config_fields(bb, agg), "n_blocks": bb.n_blocks}
+    return {**config_fields(bb, agg), "n_blocks": len(DILATIONS)}
 
 
 def configs_from_dict(cfg: dict):
     """(BackboneConfig, AggregationConfig) from a weight file's `config`."""
     if not isinstance(cfg, dict):
         raise InvalidConfig("weight file has no config object")
-    missing = sorted(set(_config_dict(BackboneConfig(), AggregationConfig())) - set(cfg))
+    expected = _config_dict(BackboneConfig(), AggregationConfig())
+    missing = sorted(set(expected) - set(cfg))
     if missing:
         raise InvalidConfig("weight-file config lacks %s" % ", ".join(missing))
-    bb, agg = configs_from_fields(cfg)
-    if cfg["n_blocks"] != bb.n_blocks:
-        raise InvalidConfig("n_blocks=%s but %d dilations" % (cfg["n_blocks"], bb.n_blocks))
-    return bb, agg
+    unknown = sorted(set(cfg) - set(expected))
+    if unknown:
+        raise InvalidConfig("weight-file config has unknown key %s" % ", ".join(map(repr, unknown)))
+    for key in (*FIXED_FIELDS, "n_blocks"):  # compared as JSON text, so 80.0 or true is refused
+        if json.dumps(cfg[key]) != json.dumps(expected[key]):
+            raise InvalidConfig("%s must be %s, got %s" % (key, json.dumps(expected[key]), json.dumps(cfg[key])))
+    return configs_from_fields(cfg)
 
 
 def init_params(bb: BackboneConfig, agg: AggregationConfig, seed: int) -> ParamStore:
@@ -211,15 +217,18 @@ def load(source) -> ParamStore:
     if not isinstance(header, dict) or not isinstance(header.get("meta"), dict):
         raise HeaderMismatch("header has no meta object")
     try:
-        tensors = [(str(t["name"]), tuple(int(s) for s in t["shape"])) for t in header["tensors"]]
-    except (KeyError, TypeError, ValueError):
+        tensors = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+    except (KeyError, TypeError):
         raise HeaderMismatch("header has no well-formed tensor list") from None
+    for name, shape in tensors:
+        if not isinstance(name, str) or not all(type(s) is int for s in shape):
+            raise HeaderMismatch("tensor %r needs a string name and integer dimensions" % (name,))
     names = [name for name, _ in tensors]
     if len(set(names)) != len(names):
         raise HeaderMismatch("tensor %r is listed more than once" % next(n for n in names if names.count(n) > 1))
     if any(s <= 0 for _, shape in tensors for s in shape):
         raise HeaderMismatch("tensor dimension is not positive")
-    counts = [int(np.prod(shape, dtype=np.int64)) for _, shape in tensors]
+    counts = [math.prod(shape) for _, shape in tensors]  # exact: a huge shape cannot wrap to a small count
     declared = 4 * sum(counts)
     if declared != header.get("payload_bytes"):
         raise HeaderMismatch(

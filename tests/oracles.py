@@ -124,12 +124,12 @@ def loop_asp(h, params):
     return np.concatenate([mu, sg])
 
 
-def loop_backbone(mel_frames, params, cfg):
+def loop_backbone(mel_frames, params):
     x = np.maximum(loop_affine(mel_frames, params["conv_in.weight"], params["conv_in.bias"]), 0.0)
     outs = []
-    for i, dil in enumerate(cfg.dilations):
+    for i, dil in enumerate((2, 3, 4)):
         p = "block%d." % (i + 1)
-        x = loop_res2(x, dil, {k[len(p):]: v for k, v in params.items() if k.startswith(p)}, cfg.scale)
+        x = loop_res2(x, dil, {k[len(p):]: v for k, v in params.items() if k.startswith(p)})
         outs.append(x)
     agg = loop_affine(np.concatenate(outs, axis=1), params["mfa.weight"], params["mfa.bias"])
     frame_states = loop_affine(agg, params["proj_frames.weight"], params["proj_frames.bias"])
@@ -295,16 +295,16 @@ def brute_f0_features(samples, win=1024, hop=256, sr=22050):
     return feats
 
 
-def reference_embedding(samples, entries, bb_cfg, agg_cfg):
+def reference_embedding(samples, entries, agg_cfg):
     """End-to-end composition of the stage oracles (SE_F0_then_ME path).
 
     `entries` is the raw name->tensor dict of a ParamStore; `samples` must
     already be at 22050 Hz.
     """
     assert agg_cfg.mode == "SE_F0_then_ME"
-    mel = brute_log_mel(samples, n_mels=bb_cfg.in_dim)
+    mel = brute_log_mel(samples)
     bb = {k[len("backbone."):]: v for k, v in entries.items() if k.startswith("backbone.")}
-    h_sv, _z = loop_backbone(mel, bb, bb_cfg)
+    h_sv, _z = loop_backbone(mel, bb)
 
     ag = {k[len("agg."):]: v for k, v in entries.items() if k.startswith("agg.")}
     feats = brute_f0_features(samples)

@@ -207,7 +207,7 @@ def test_criterion_7_mode_matrix(capfd):
             vectors[(mode, splitting)] = emb.vector
     store = init_params(DESK_BB, DESK_AGG, seed=11)
     lib = extract_embedding(buf, store, DESK_BB, DESK_AGG).vector
-    ref = reference_embedding(buf.samples, dict(store.entries), DESK_BB, DESK_AGG)
+    ref = reference_embedding(buf.samples, dict(store.entries), DESK_AGG)
     gap = float(np.max(np.abs(lib - ref)))
     ok &= gap < 1e-8
     verdict(capfd, 7, ok, "10 mode/split variants finite, oracle gap %.2e" % gap)

@@ -284,7 +284,7 @@ class TestExtractEmbedding:
         agg, store = get("SE")
         emb = extract_embedding(buf, store, bb_cfg, agg)
         mel = mel_spectrogram(buf)
-        z = backbone_forward(mel, param_group(store.entries, "backbone"), bb_cfg).pooled
+        z = backbone_forward(mel, param_group(store.entries, "backbone")).pooled
         assert np.array_equal(emb.vector, z)
 
     def test_all_modes_finite_same_shape(self, setup):
@@ -319,7 +319,7 @@ class TestExtractEmbedding:
         buf, bb_cfg, get = setup
         agg, store = get("SE_F0_then_ME")
         emb = extract_embedding(buf, store, bb_cfg, agg)
-        ref = reference_embedding(buf.samples, store.entries, bb_cfg, agg)
+        ref = reference_embedding(buf.samples, store.entries, agg)
         assert np.max(np.abs(emb.vector - ref)) < 1e-8
 
     def test_config_hash_distinguishes_modes(self, desk_backbone_cfg):
@@ -390,3 +390,16 @@ class TestEmbeddingSerialization:
         assert blob[:8] == b"AGVE0001"
         back = embedding_from_bytes(blob)
         assert np.array_equal(back.vector, vec)
+
+    def test_json_bool_d_refused(self):
+        # true == 1, so a one-value list would match it
+        with pytest.raises(ShapeMismatch):
+            embedding_from_json('{"mode": "SE", "config_hash": "", "d": true, "values": [1.0]}')
+
+    @pytest.mark.parametrize("cut", [-1, 1], ids=["short", "long"])
+    def test_binary_length_must_be_exact(self, cut):
+        from agvoice.aggregation import SpeakerEmbedding
+
+        blob = embedding_to_bytes(SpeakerEmbedding(np.ones(3), "SE", ""))
+        with pytest.raises(ShapeMismatch):
+            embedding_from_bytes(blob[:cut] if cut < 0 else blob + b"\0" * cut)

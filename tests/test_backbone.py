@@ -98,7 +98,7 @@ class TestRes2Block:
 
     def test_indivisible_scale(self, rng):
         with pytest.raises(IndivisibleScale):
-            res2_block(rng.standard_normal((4, 10)), 2, res2_params(rng, 16), scale=8)
+            res2_block(rng.standard_normal((4, 10)), 2, res2_params(rng, 16))
 
 
 class TestAttentiveStatsPooling:
@@ -141,7 +141,7 @@ class TestBackboneForward:
         cfg = BackboneConfig(channels=16, d_model=8)
         store = self._store(cfg)
         mel = MelSpectrogram(rng.standard_normal((13, 80)))
-        out = backbone_forward(mel, param_group(store.entries, "backbone"), cfg)
+        out = backbone_forward(mel, param_group(store.entries, "backbone"))
         assert out.frame_states.shape == (13, 8)
         assert out.pooled.shape == (8,)
 
@@ -149,8 +149,8 @@ class TestBackboneForward:
         cfg = BackboneConfig(channels=16, d_model=8)
         store = self._store(cfg)
         mel = MelSpectrogram(np.zeros((5, 80)))
-        a = backbone_forward(mel, param_group(store.entries, "backbone"), cfg)
-        b = backbone_forward(mel, param_group(store.entries, "backbone"), cfg)
+        a = backbone_forward(mel, param_group(store.entries, "backbone"))
+        b = backbone_forward(mel, param_group(store.entries, "backbone"))
         assert np.isfinite(a.pooled).all()
         assert np.array_equal(a.pooled, b.pooled)
         assert np.array_equal(a.frame_states, b.frame_states)
@@ -159,8 +159,8 @@ class TestBackboneForward:
         cfg = BackboneConfig(channels=16, d_model=8)
         store = self._store(cfg, seed=11)
         mel = MelSpectrogram(rng.standard_normal((5, 80)))
-        out = backbone_forward(mel, param_group(store.entries, "backbone"), cfg)
-        ref_states, ref_pooled = loop_backbone(mel.frames, dict(param_group(store.entries, "backbone")), cfg)
+        out = backbone_forward(mel, param_group(store.entries, "backbone"))
+        ref_states, ref_pooled = loop_backbone(mel.frames, dict(param_group(store.entries, "backbone")))
         assert np.max(np.abs(out.frame_states - ref_states)) < 1e-9
         assert np.max(np.abs(out.pooled - ref_pooled)) < 1e-9
 
@@ -168,6 +168,6 @@ class TestBackboneForward:
         cfg = BackboneConfig(channels=16, d_model=8)
         store = self._store(cfg)
         before = {k: v.copy() for k, v in store.entries.items()}
-        backbone_forward(MelSpectrogram(rng.standard_normal((6, 80))), param_group(store.entries, "backbone"), cfg)
+        backbone_forward(MelSpectrogram(rng.standard_normal((6, 80))), param_group(store.entries, "backbone"))
         for k, v in before.items():
             assert np.array_equal(store.entries[k], v)

@@ -161,6 +161,45 @@ class TestInitInspect:
             assert one_line(err, "config error: ") and "agg.f0_enc.fc1.bias" in err, (argv[0], err)
 
 
+    @pytest.mark.parametrize(
+        "tensor",
+        [
+            {"shape": ["8"]},
+            {"shape": [8.5]},
+            {"shape": [8.0]},
+            {"shape": [8, True]},
+            {"name": ["agg.f0_enc.fc1.bias"]},
+        ],
+        ids=["dim_str", "dim_fraction", "dim_float", "dim_bool", "name_list"],
+    )
+    def test_tensor_list_types_exit_3(self, tmp_path, weights_file, manifest, capsys, tensor):
+        # each edit keeps the element count of the d_model=8 bias, so every size still adds up
+        def retype(header):
+            next(t for t in header["tensors"] if t["name"] == "agg.f0_enc.fc1.bias").update(tensor)
+            return header
+
+        bad = write_edited(weights_file, retype, tmp_path / "retyped.agvw")
+        for argv in (["inspect"], ["embed", str(manifest), "--out", str(tmp_path / "x")]):
+            capsys.readouterr()
+            assert main([*argv, "--weights", str(bad)]) == 3, argv[0]
+            assert one_line(capsys.readouterr().err, "config error: "), argv[0]
+
+    @pytest.mark.parametrize("shape", [[10**30], [2**40, 2**40, 8]], ids=["beyond_int64", "wraps_int64_to_zero"])
+    def test_huge_dimension_exit_3(self, tmp_path, weights_file, capsys, shape):
+        # payload_bytes and the payload leave out the edited tensor's 32 bytes, as if its size were 0
+        blob = weights_file.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12 : 12 + hlen])
+        next(t for t in header["tensors"] if t["name"] == "agg.f0_enc.fc1.bias")["shape"] = shape
+        header["payload_bytes"] -= 32
+        edited = json.dumps(header).encode()
+        bad = tmp_path / "huge.agvw"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + hlen : -32])
+        capsys.readouterr()
+        assert main(["inspect", "--weights", str(bad)]) == 3
+        assert one_line(capsys.readouterr().err, "config error: ")
+
+
 class TestEmbed:
     def test_manifest_cardinality(self, tmp_path, weights_file, manifest):
         out = tmp_path / "emb"
@@ -238,12 +277,17 @@ class TestEmbed:
             drop("tensors"),
             negate_dims,
             set_config(mode="SE"),
+            set_config(in_dim=80.0),
+            set_config(n_blocks=3.0),
+            set_config(dilations=[2, 3, 5]),
+            set_config(scale_mdoe="linear"),
         ],
         ids=[
             "n_blocks_vs_dilations", "unknown_mode", "unknown_scale_mode", "no_config", "no_heads",
             "heads_str", "dilations_int", "dilations_empty", "heads_zero", "heads_negative", "tokens_zero",
             "channels_zero", "splitting_str", "mode_list", "in_dim_40", "header_not_object", "no_meta", "no_tensors",
-            "negative_dims", "mode_vs_tensors",
+            "negative_dims", "mode_vs_tensors", "in_dim_float", "n_blocks_float", "dilations_other",
+            "unknown_key",
         ],
     )
     def test_bad_header_config_exit_3(self, tmp_path, weights_file, manifest, capsys, edit):
@@ -254,6 +298,13 @@ class TestEmbed:
             assert main([*argv, "--weights", str(bad)]) == 3, argv[0]
             err = capsys.readouterr().err
             assert one_line(err, "config error: "), (argv[0], err)
+
+    def test_unknown_config_key_named(self, tmp_path, weights_file, manifest, capsys):
+        bad = write_edited(weights_file, set_config(foo=1), tmp_path / "foo.agvw")
+        capsys.readouterr()
+        assert main(["embed", str(manifest), "--weights", str(bad), "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert one_line(err, "config error: ") and "'foo'" in err, err
 
     def test_non_finite_weights_exit_3(self, tmp_path, weights_file, manifest, capsys):
         blob = bytearray(weights_file.read_bytes())
@@ -577,8 +628,14 @@ class TestSimmatrixAbx:
             '{"mode": "SE", "d": 2, "config_hash": "", "values": ["a", 1]}',
             '{"mode": "SE", "d": 2, "config_hash": "", "values": [NaN, 1]}',
             '{"mode": "SE", "d": 2, "config_hash": "", "values": [[1, 0], [0, 1]]}',
+            '{"mode": "SE", "d": 2, "config_hash": "", "values": ["1.5", true]}',
+            '{"mode": "SE", "d": 2, "config_hash": "", "values": [true, 1]}',
+            '{"mode": "SE", "d": true, "config_hash": "", "values": [1]}',
+            '{"mode": "SE", "d": 2.0, "config_hash": "", "values": [1, 0]}',
+            '{"mode": "SE", "d": 2, "config_hash": "", "values": [1%s, 0]}' % ("0" * 400),
         ],
-        ids=["unparseable", "list", "no_values", "str_value", "nan_value", "nested_values"],
+        ids=["unparseable", "list", "no_values", "str_value", "nan_value", "nested_values", "numeric_str_and_bool_values",
+             "bool_value", "d_bool", "d_float", "int_beyond_float64"],
     )
     def test_bad_embedding_json_exit_2(self, index_dir, tmp_path, capsys, text):
         # a1 is the first entry and is given to abx twice, so the bad vector is also scored against itself
@@ -593,6 +650,17 @@ class TestSimmatrixAbx:
         d = tmp_path / "emb"
         assert main(["abx", "--reference", str(d / "a1.emb"), str(d / "a1.emb"), str(d / "b1.emb")]) == 2
         assert one_line(capsys.readouterr().err, "error: ")
+
+    @pytest.mark.parametrize("extra", [b"\0", b"\0" * 4], ids=["one_byte", "one_float"])
+    def test_emb_trailing_bytes_exit_2(self, tmp_path, capsys, extra):
+        # a file longer than 12 + 4 d bytes is refused as a truncated one is
+        index = self.write_emb_index(tmp_path / "emb", lambda uid, blob: blob + extra if uid == "b1" else blob)
+        d = tmp_path / "emb"
+        assert main(["abx", "--reference", str(d / "a1.emb"), str(d / "a1.emb"), str(d / "b1.emb")]) == 2
+        assert one_line(capsys.readouterr().err, "error: ")
+        assert main(["simmatrix", str(index), "--out", str(tmp_path / "sim")]) == 2
+        assert one_line(capsys.readouterr().err, "error: ")
+        assert not (tmp_path / "sim.csv").exists()
 
     @pytest.mark.parametrize(
         "zero_file, argv",
