@@ -172,25 +172,22 @@ def cross_attention_stage_backward(hq, hk, params, d_out, scale_mode="sqrt"):
     return grads
 
 
-def split_and_fuse(h, tokens, heads, params):
+def split_and_fuse(pooled, tokens, heads, params):
     """Fuse the aggregate with the learned token bank.
 
-    The time-mean of h queries the tokens via multi-head attention; the
-    attention-weighted sum of the (projected) tokens is the embedding.
+    `pooled`, the time-mean of the last level's states, queries the tokens
+    via multi-head attention; the attention-weighted sum of the (projected)
+    tokens is the embedding.
     """
-    if tokens.ndim != 2 or tokens.shape[1] != h.shape[1]:
-        raise ShapeMismatch("tokens %s vs states %s" % (tokens.shape, h.shape))
-    query = h.mean(axis=0, keepdims=True)
-    out, _ = multi_head_attention(query, tokens, tokens, heads, params)
+    if tokens.ndim != 2 or tokens.shape[1:] != pooled.shape:
+        raise ShapeMismatch("tokens %s vs pooled state %s" % (tokens.shape, pooled.shape))
+    out, _ = multi_head_attention(pooled[None, :], tokens, tokens, heads, params)
     return out[0]
 
 
-def split_and_fuse_backward(h, tokens, heads, params, d_out):
+def split_and_fuse_backward(pooled, tokens, heads, params, d_out):
     """Gradients of sum(fused * d_out) w.r.t. fusion params and tokens."""
-    query = h.mean(axis=0, keepdims=True)
-    grads, _dq, dk, dv = multi_head_attention_backward(
-        query, tokens, tokens, heads, params, d_out[None, :]
-    )
+    grads, _dq, dk, dv = multi_head_attention_backward(pooled[None, :], tokens, tokens, heads, params, d_out[None, :])
     grads["tokens"] = dk + dv
     return grads
 
@@ -209,9 +206,10 @@ def aggregate(h_sv, z, mel, contour, params, cfg: AggregationConfig):
     h = level1_attention(h_sv, _encode(cues[0], mel, contour, params), param_group(params, "level1"), sm)
     if len(cues) == 2:
         h = level2_attention(_encode(cues[1], mel, contour, params), h, param_group(params, "level2"), sm)
+    pooled = h.mean(axis=0)
     if cfg.splitting:
-        return split_and_fuse(h, params["tokens"], cfg.heads, param_group(params, "fuse"))
-    return h.mean(axis=0)
+        return split_and_fuse(pooled, params["tokens"], cfg.heads, param_group(params, "fuse"))
+    return pooled
 
 
 def extract_embedding(buf: AudioBuffer, store, backbone_cfg: BackboneConfig, agg_cfg: AggregationConfig) -> SpeakerEmbedding:

@@ -21,6 +21,14 @@ from .errors import AgvError, ConfigError, DimMismatch, InputError, ShapeMismatc
 from .nn import SCALE_MODES, gradcheck, scaled_dot_attention, attention_backward
 
 MODE_FLAGS = {"+".join(("se",) + cues): mode for mode, cues in MODES.items()}
+# The labels a manifest line gives an utterance and its index entry carries.
+LABELS = ("utterance_id", "speaker_id", "language")
+# --format -> (file extension, writer, reader of the file's bytes). Each looks up its
+# aggregation function at call time, so a wrapper put on the module (perfbench's tracer) sees it.
+FORMATS = {
+    "json": (".json", lambda e: aggregation.embedding_to_json(e), lambda b: aggregation.embedding_from_json(b.decode("utf-8"))),
+    "bin": (".emb", lambda e: aggregation.embedding_to_bytes(e), lambda b: aggregation.embedding_from_bytes(b)),
+}
 
 # `init`'s config flags: config field -> (flag, argparse options). A field
 # without a flag, and a flag left out, keeps the dataclass default. Every
@@ -75,24 +83,29 @@ def _read_audio(path):
         raise InputError("cannot read %s: %s" % (path, e)) from None
 
 
+def _string_fields(obj, keys, where):
+    """`obj` if it is a JSON object whose `keys` are strings that UTF-8 can encode; `where` names it in errors."""
+    if not isinstance(obj, dict):
+        raise InputError("%s: not a JSON object" % where)
+    for key in keys:
+        if not isinstance(obj.get(key), str):
+            raise InputError("%s: %r is missing or not a string" % (where, key))
+        try:
+            obj[key].encode("utf-8")
+        except UnicodeEncodeError:
+            raise InputError("%s: %r is not valid UTF-8 (lone surrogate)" % (where, key)) from None
+    return obj
+
+
 def _manifest_record(line, lineno):
     """One manifest line as a record of string fields; `utterance_id` names a file in --out."""
     try:
         rec = json.loads(line)
     except ValueError as e:
         raise InputError("manifest line %d: %s" % (lineno, e)) from None
-    if not isinstance(rec, dict):
-        raise InputError("manifest line %d: not a JSON object" % lineno)
-    rec.setdefault("language", "")
-    for key in ("path", "utterance_id", "speaker_id", "language"):
-        if key not in rec:
-            raise InputError("manifest line %d: missing %r" % (lineno, key))
-        if not isinstance(rec[key], str):
-            raise InputError("manifest line %d: %r must be a string" % (lineno, key))
-        try:
-            rec[key].encode("utf-8")
-        except UnicodeEncodeError:
-            raise InputError("manifest line %d: %r is not valid UTF-8 (lone surrogate)" % (lineno, key)) from None
+    if isinstance(rec, dict):
+        rec.setdefault("language", "")
+    _string_fields(rec, ("path", *LABELS), "manifest line %d" % lineno)
     if "\0" in rec["path"]:
         raise InputError("manifest line %d: path holds a NUL character" % lineno)
     uid = rec["utterance_id"]
@@ -164,10 +177,7 @@ def cmd_embed(args):
     store, bb, agg = _load_model(args.weights)
     records = _read_manifest(args.manifest)
     os.makedirs(args.out, exist_ok=True)
-    ext, serialize = {
-        "json": (".json", aggregation.embedding_to_json),
-        "bin": (".emb", aggregation.embedding_to_bytes),
-    }[args.format]
+    ext, serialize, _ = FORMATS[args.format]
 
     def one(rec):
         """Write one utterance's file; under --keep-going a failure comes back as its message."""
@@ -192,12 +202,7 @@ def cmd_embed(args):
         # One worker runs in this thread: a pool thread raised peak RSS by ~6% (~50 MB) on 60 s clips.
         outcomes = list(map(one, records))
     entries = [
-        {
-            "utterance_id": rec["utterance_id"],
-            "speaker_id": rec["speaker_id"],
-            "language": rec["language"],
-            "file": rec["utterance_id"] + ext,
-        }
+        {**{key: rec[key] for key in LABELS}, "file": rec["utterance_id"] + ext}
         for rec, err in zip(records, outcomes)
         if err is None
     ]
@@ -229,14 +234,11 @@ def cmd_f0(args):
 
 
 def _read_embedding_file(path):
-    """The vector of a `.json` or binary embedding file, checked finite."""
+    """The vector of an embedding file in the format its extension names (binary for any other), checked finite."""
+    read = next((read for ext, _, read in FORMATS.values() if path.endswith(ext)), FORMATS["bin"][2])
     try:
-        if path.endswith(".json"):
-            with open(path, encoding="utf-8") as f:
-                emb = aggregation.embedding_from_json(f.read())
-        else:
-            with open(path, "rb") as f:
-                emb = aggregation.embedding_from_bytes(f.read())
+        with open(path, "rb") as f:
+            emb = read(f.read())
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e)) from None
     except (ShapeMismatch, ValueError, KeyError, TypeError) as e:
@@ -246,7 +248,8 @@ def _read_embedding_file(path):
     return emb.vector
 
 
-def _read_index(index_path):
+def _load_index_embeddings(index_path):
+    """The entries of an index, each checked, and their embeddings as the rows of one matrix."""
     try:
         with open(index_path, encoding="utf-8") as f:
             index = json.load(f)
@@ -256,26 +259,17 @@ def _read_index(index_path):
         raise InputError("index has no entries list")
     if isinstance(index.get("d"), bool) or not isinstance(index.get("d"), int):
         raise InputError("index has no integer d")
-    for entry in index["entries"]:
-        if not isinstance(entry, dict) or not all(
-            isinstance(entry.get(key), str) for key in ("file", "utterance_id", "speaker_id", "language")
-        ):
-            raise InputError("index entry %r lacks a string file, utterance_id, speaker_id or language" % (entry,))
-    return index
-
-
-def _load_index_embeddings(index_path):
+    entries = [_string_fields(e, ("file", *LABELS), "index entry %d" % i) for i, e in enumerate(index["entries"], 1)]
     base = os.path.dirname(os.path.abspath(index_path))
-    index = _read_index(index_path)
     vecs = []
-    for entry in index["entries"]:
+    for entry in entries:
         vec = _read_embedding_file(os.path.join(base, entry["file"]))
         if len(vec) != index["d"]:
             raise DimMismatch("embedding %s has d=%d, index says %d" % (entry["file"], len(vec), index["d"]))
         vecs.append(vec)
     if len(vecs) < 2:
         raise InputError("need at least 2 embeddings")
-    return index["entries"], np.array(vecs)
+    return entries, np.array(vecs)
 
 
 def _pooled_matrix(entries, x, key):
@@ -312,61 +306,43 @@ def cmd_abx(args):
 
 
 def _selftest_gradchecks(rng):
+    """Worst relative gradcheck error over three attention draws, one cross-attention stage and the fusion."""
+    d = 8
+    names = ["wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"]  # the stage has the first six
+
+    def draw_params(n):
+        return [rng.standard_normal((d, d)) * 0.3 if name[0] == "w" else rng.standard_normal(d) * 0.1 for name in names[:n]]
+
+    def f_attention(xs):
+        return float(scaled_dot_attention(*xs).output.sum())
+
+    def g_attention(xs):
+        tr = scaled_dot_attention(*xs)
+        return list(attention_backward(tr, *xs, np.ones_like(tr.output)))
+
+    def f_stage(xs):
+        return float(aggregation.cross_attention_stage(hq, hkv, dict(zip(names, xs)))[0].sum())
+
+    def g_stage(xs):
+        grads = aggregation.cross_attention_stage_backward(hq, hkv, dict(zip(names, xs)), np.ones((4, d)))
+        return [grads[n] for n in names[:6]]
+
+    def f_fuse(xs):
+        return float(aggregation.split_and_fuse(pooled, xs[-1], 2, dict(zip(names, xs))).sum())
+
+    def g_fuse(xs):
+        grads = aggregation.split_and_fuse_backward(pooled, xs[-1], 2, dict(zip(names, xs)), np.ones(d))
+        return [grads[n] for n in names] + [grads["tokens"]]
+
+    problems = [(f_attention, g_attention, [rng.standard_normal(shape) for shape in ((3, 5), (4, 5), (4, 5))]) for _ in range(3)]
+    hq, hkv = rng.standard_normal((4, d)), rng.standard_normal((4, d))
+    problems.append((f_stage, g_stage, draw_params(6)))
+    problems.append((f_fuse, g_fuse, draw_params(8) + [rng.standard_normal((3, d))]))
+    pooled = rng.standard_normal((5, d)).mean(axis=0)
     # The key bias has an exactly-zero gradient (softmax cancels a per-row
     # logit shift), so the comparison floor must sit above the central
     # difference roundoff, which scales with |f|.
-    def floor_for(f, xs):
-        return max(1e-8, 1e-4 * (1.0 + abs(f(xs))))
-
-    worst = 0.0
-    tq, tk, d = 3, 4, 5
-    for _ in range(3):
-        q, k, v = rng.standard_normal((tq, d)), rng.standard_normal((tk, d)), rng.standard_normal((tk, d))
-
-        def f(xs):
-            return float(scaled_dot_attention(xs[0], xs[1], xs[2]).output.sum())
-
-        def g(xs):
-            tr = scaled_dot_attention(xs[0], xs[1], xs[2])
-            return list(attention_backward(tr, xs[0], xs[1], xs[2], np.ones_like(tr.output)))
-
-        worst = max(worst, gradcheck(f, g, [q, k, v], abs_floor=floor_for(f, [q, k, v])).max_rel_error)
-
-    d = 8
-    hq, hkv = rng.standard_normal((4, d)), rng.standard_normal((4, d))
-    names = ["wq", "bq", "wk", "bk", "wv", "bv"]
-    stage_p = {n: (rng.standard_normal((d, d)) * 0.3 if n.startswith("w") else rng.standard_normal(d) * 0.1) for n in names}
-
-    def f_stage(xs):
-        p = dict(zip(names, xs))
-        out, _ = aggregation.cross_attention_stage(hq, hkv, p)
-        return float(out.sum())
-
-    def g_stage(xs):
-        p = dict(zip(names, xs))
-        grads = aggregation.cross_attention_stage_backward(hq, hkv, p, np.ones((4, d)))
-        return [grads[n] for n in names]
-
-    xs_stage = [stage_p[n] for n in names]
-    worst = max(worst, gradcheck(f_stage, g_stage, xs_stage, abs_floor=floor_for(f_stage, xs_stage)).max_rel_error)
-
-    fuse_names = ["wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"]
-    fuse_p = {n: (rng.standard_normal((d, d)) * 0.3 if n.startswith("w") else rng.standard_normal(d) * 0.1) for n in fuse_names}
-    tokens = rng.standard_normal((3, d))
-    h = rng.standard_normal((5, d))
-
-    def f_fuse(xs):
-        p = dict(zip(fuse_names, xs[:-1]))
-        return float(aggregation.split_and_fuse(h, xs[-1], 2, p).sum())
-
-    def g_fuse(xs):
-        p = dict(zip(fuse_names, xs[:-1]))
-        grads = aggregation.split_and_fuse_backward(h, xs[-1], 2, p, np.ones(d))
-        return [grads[n] for n in fuse_names] + [grads["tokens"]]
-
-    xs_fuse = [fuse_p[n] for n in fuse_names] + [tokens]
-    worst = max(worst, gradcheck(f_fuse, g_fuse, xs_fuse, abs_floor=floor_for(f_fuse, xs_fuse)).max_rel_error)
-    return worst
+    return max(gradcheck(f, g, xs, abs_floor=max(1e-8, 1e-4 * (1.0 + abs(f(xs))))).max_rel_error for f, g, xs in problems)
 
 
 def cmd_selftest(args):
@@ -438,7 +414,7 @@ def build_parser():
     sp.add_argument("manifest")
     sp.add_argument("--weights", required=True, metavar="PATH")
     sp.add_argument("--out", required=True, metavar="DIR")
-    sp.add_argument("--format", choices=["json", "bin"], default="json")
+    sp.add_argument("--format", choices=list(FORMATS), default="json")
     sp.add_argument("--keep-going", action="store_true")
     sp.set_defaults(func=cmd_embed)
 

@@ -26,6 +26,9 @@ def _unit_rows(vectors) -> np.ndarray:
     if len(shapes) != 1 or len(shapes[0]) != 1:
         raise DimMismatch("need 1-D embeddings of one length, got shapes %s" % shapes)
     x = np.stack(rows)
+    # Scale each row by a power of two (exact) so its largest magnitude is in
+    # [0.5, 1): the norm then cannot overflow (1e200) or underflow (1e-200).
+    x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, keepdims=True))[1])
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     if not norms.all():
         raise ZeroNorm("cosine undefined for zero-norm embedding")

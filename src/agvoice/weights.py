@@ -25,7 +25,8 @@ from .errors import (
 )
 
 WEIGHTS_MAGIC = b"AGVW0001"
-FORMAT_VERSION = 1
+# The header's constant keys: `save` writes them and `load` requires them.
+HEADER = {"format_version": 1, "dtype": "f32"}
 
 
 @dataclass(frozen=True)
@@ -124,20 +125,27 @@ def _config_dict(bb: BackboneConfig, agg: AggregationConfig) -> dict:
     return {**config_fields(bb, agg), "n_blocks": len(DILATIONS)}
 
 
+def _check_keys(what, obj, fixed, free):
+    """Keys exactly `fixed` and `free`, each fixed key with its value's JSON text (80.0 or true is not 80)."""
+    keys = set(fixed).union(free)
+    missing = sorted(keys - set(obj))
+    if missing:
+        raise HeaderMismatch("weight-file %s lacks %s" % (what, ", ".join(missing)))
+    unknown = sorted(set(obj) - keys)
+    if unknown:
+        raise HeaderMismatch("weight-file %s has unknown key %s" % (what, ", ".join(map(repr, unknown))))
+    for key, value in fixed.items():
+        if json.dumps(obj[key]) != json.dumps(value):
+            raise HeaderMismatch("weight-file %s %s must be %s, got %s" % (what, key, json.dumps(value), json.dumps(obj[key])))
+
+
 def configs_from_dict(cfg: dict):
     """(BackboneConfig, AggregationConfig) from a weight file's `config`."""
     if not isinstance(cfg, dict):
         raise InvalidConfig("weight file has no config object")
     expected = _config_dict(BackboneConfig(), AggregationConfig())
-    missing = sorted(set(expected) - set(cfg))
-    if missing:
-        raise InvalidConfig("weight-file config lacks %s" % ", ".join(missing))
-    unknown = sorted(set(cfg) - set(expected))
-    if unknown:
-        raise InvalidConfig("weight-file config has unknown key %s" % ", ".join(map(repr, unknown)))
-    for key in (*FIXED_FIELDS, "n_blocks"):  # compared as JSON text, so 80.0 or true is refused
-        if json.dumps(cfg[key]) != json.dumps(expected[key]):
-            raise InvalidConfig("%s must be %s, got %s" % (key, json.dumps(expected[key]), json.dumps(cfg[key])))
+    fixed = {key: expected.pop(key) for key in (*FIXED_FIELDS, "n_blocks")}
+    _check_keys("config", cfg, fixed, expected)
     return configs_from_fields(cfg)
 
 
@@ -154,13 +162,13 @@ def init_params(bb: BackboneConfig, agg: AggregationConfig, seed: int) -> ParamS
         "seed": int(seed),
         "config": _config_dict(bb, agg),
         "config_digest": config_hash(bb, agg),
-        "format_version": FORMAT_VERSION,
+        "format_version": HEADER["format_version"],
     }
     return ParamStore(entries, meta)
 
 
 def check_params(store: ParamStore, bb: BackboneConfig, agg: AggregationConfig):
-    """Strict census check: no missing, no extra, no shape drift."""
+    """Strict census check: no missing, no extra, no shape drift; then the meta must carry this config's digest."""
     expected = param_shapes(bb, agg)
     missing = sorted(set(expected) - set(store.entries))
     if missing:
@@ -171,6 +179,8 @@ def check_params(store: ParamStore, bb: BackboneConfig, agg: AggregationConfig):
     for name, shape in expected.items():
         if tuple(store.entries[name].shape) != tuple(shape):
             raise InvalidConfig("parameter %s has shape %s, expected %s" % (name, store.entries[name].shape, shape))
+    digest = {"config_digest": config_hash(bb, agg), "format_version": HEADER["format_version"]}
+    _check_keys("meta", store.meta, digest, ("seed", "config"))
 
 
 def save(store: ParamStore, sink):
@@ -179,8 +189,7 @@ def save(store: ParamStore, sink):
     payloads = [np.ascontiguousarray(store.entries[n], dtype="<f4").tobytes() for n in names]
     header = json.dumps(
         {
-            "format_version": FORMAT_VERSION,
-            "dtype": "f32",
+            **HEADER,
             "payload_bytes": sum(len(p) for p in payloads),
             "meta": store.meta,
             "tensors": [{"name": n, "shape": list(store.entries[n].shape)} for n in names],
@@ -230,10 +239,7 @@ def load(source) -> ParamStore:
         raise HeaderMismatch("tensor dimension is not positive")
     counts = [math.prod(shape) for _, shape in tensors]  # exact: a huge shape cannot wrap to a small count
     declared = 4 * sum(counts)
-    if declared != header.get("payload_bytes"):
-        raise HeaderMismatch(
-            "tensor shapes imply %d payload bytes, header declares %s" % (declared, header.get("payload_bytes"))
-        )
+    _check_keys("header", header, {**HEADER, "payload_bytes": declared}, ("meta", "tensors"))
     payload = data[12 + hlen :]
     if len(payload) < declared:
         raise TruncatedPayload("payload is %d bytes, expected %d" % (len(payload), declared))

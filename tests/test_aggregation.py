@@ -241,17 +241,17 @@ class TestSplitAndFuse:
         d = 8
         p = self._fuse_params(rng, d)
         token = rng.standard_normal((1, d))
-        a = split_and_fuse(rng.standard_normal((5, d)), token, 2, p)
-        b = split_and_fuse(rng.standard_normal((9, d)), token, 2, p)
+        a = split_and_fuse(rng.standard_normal((5, d)).mean(axis=0), token, 2, p)
+        b = split_and_fuse(rng.standard_normal((9, d)).mean(axis=0), token, 2, p)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_duplicate_tokens_collapse(self, rng):
         d = 8
         p = self._fuse_params(rng, d)
         token = rng.standard_normal(d)
-        h = rng.standard_normal((4, d))
-        one = split_and_fuse(h, token[None, :], 2, p)
-        two = split_and_fuse(h, np.tile(token, (2, 1)), 2, p)
+        pooled = rng.standard_normal((4, d)).mean(axis=0)
+        one = split_and_fuse(pooled, token[None, :], 2, p)
+        two = split_and_fuse(pooled, np.tile(token, (2, 1)), 2, p)
         assert np.max(np.abs(one - two)) < 1e-12
 
     def test_matches_per_head_loop(self, rng):
@@ -259,7 +259,7 @@ class TestSplitAndFuse:
         p = self._fuse_params(rng, d)
         h = rng.standard_normal((5, d))
         tokens = rng.standard_normal((4, d))
-        out = split_and_fuse(h, tokens, 2, p)
+        out = split_and_fuse(h.mean(axis=0), tokens, 2, p)
         ref = loop_mha(h.mean(axis=0, keepdims=True), tokens, tokens, 2, p)[0]
         assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -357,14 +357,14 @@ class TestStageGradients:
         names = ["wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"]
         p = {n: (rng.standard_normal((d, d)) * 0.3 if n.startswith("w") else rng.standard_normal(d) * 0.1) for n in names}
         tokens = rng.standard_normal((3, d))
-        h = rng.standard_normal((5, d))
+        pooled = rng.standard_normal((5, d)).mean(axis=0)
         d_out = rng.standard_normal(d)
 
         def f(xs):
-            return float((split_and_fuse(h, xs[-1], 2, dict(zip(names, xs[:-1]))) * d_out).sum())
+            return float((split_and_fuse(pooled, xs[-1], 2, dict(zip(names, xs[:-1]))) * d_out).sum())
 
         def g(xs):
-            grads = split_and_fuse_backward(h, xs[-1], 2, dict(zip(names, xs[:-1])), d_out)
+            grads = split_and_fuse_backward(pooled, xs[-1], 2, dict(zip(names, xs[:-1])), d_out)
             return [grads[n] for n in names] + [grads["tokens"]]
 
         xs = [p[n] for n in names] + [tokens]

@@ -53,6 +53,26 @@ def set_config(**changes):
     return edit
 
 
+def set_header(**changes):
+    """Header edit: change top-level header keys."""
+
+    def edit(header):
+        header.update(changes)
+        return header
+
+    return edit
+
+
+def set_meta(**changes):
+    """Header edit: change keys of the header's meta."""
+
+    def edit(header):
+        header["meta"].update(changes)
+        return header
+
+    return edit
+
+
 def drop(*path):
     """Header edit: delete the key at `path`."""
 
@@ -80,6 +100,14 @@ def write_edited(weights_file, edit, path):
     edited = json.dumps(edit(json.loads(blob[12 : 12 + hlen]))).encode()
     path.write_bytes(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + hlen :])
     return path
+
+
+def labelled_entries(**labels):
+    """The two entries of `write_emb_index` with `labels` set on the first."""
+    return [
+        {"utterance_id": "a1", "speaker_id": "a", "language": "xx", "file": "a1.emb", **labels},
+        {"utterance_id": "b1", "speaker_id": "b", "language": "xx", "file": "b1.emb"},
+    ]
 
 
 def clips_manifest(tmp_path, wav_factory, n_good, bad_at):
@@ -281,13 +309,20 @@ class TestEmbed:
             set_config(n_blocks=3.0),
             set_config(dilations=[2, 3, 5]),
             set_config(scale_mdoe="linear"),
+            set_header(dtype="f16"),
+            set_header(format_version=2),
+            drop("format_version"),
+            set_header(comment="x"),
+            set_meta(config_digest="deadbeef"),
+            set_meta(format_version="x"),
         ],
         ids=[
             "n_blocks_vs_dilations", "unknown_mode", "unknown_scale_mode", "no_config", "no_heads",
             "heads_str", "dilations_int", "dilations_empty", "heads_zero", "heads_negative", "tokens_zero",
             "channels_zero", "splitting_str", "mode_list", "in_dim_40", "header_not_object", "no_meta", "no_tensors",
             "negative_dims", "mode_vs_tensors", "in_dim_float", "n_blocks_float", "dilations_other",
-            "unknown_key",
+            "unknown_key", "dtype_f16", "format_version_2", "no_format_version", "unknown_header_key",
+            "stale_config_digest", "meta_format_version_str",
         ],
     )
     def test_bad_header_config_exit_3(self, tmp_path, weights_file, manifest, capsys, edit):
@@ -598,24 +633,29 @@ class TestSimmatrixAbx:
         assert "diagonal_dominance 1" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "blob_edit, index_fields",
+        "blob_edit, index_fields, group_by",
         [
-            (lambda uid, blob: blob[:-3] if uid == "b1" else blob, {}),
-            (lambda uid, blob: blob[:10] if uid == "b1" else blob, {}),
-            (lambda uid, blob: blob, {"entries": None}),
-            (lambda uid, blob: blob, {"d": None}),
-            (lambda uid, blob: blob, {"d": "2"}),
-            (lambda uid, blob: blob, {"entries": [{"file": "a1.emb"}, {"file": "b1.emb"}]}),
-            (lambda uid, blob: blob, {"entries": ["a1.emb", "b1.emb"]}),
+            (lambda uid, blob: blob[:-3] if uid == "b1" else blob, {}, None),
+            (lambda uid, blob: blob[:10] if uid == "b1" else blob, {}, None),
+            (lambda uid, blob: blob, {"entries": None}, None),
+            (lambda uid, blob: blob, {"d": None}, None),
+            (lambda uid, blob: blob, {"d": "2"}, None),
+            (lambda uid, blob: blob, {"entries": [{"file": "a1.emb"}, {"file": "b1.emb"}]}, None),
+            (lambda uid, blob: blob, {"entries": ["a1.emb", "b1.emb"]}, None),
             (lambda uid, blob: aggregation.embedding_to_bytes(
-                aggregation.SpeakerEmbedding(np.array([0.0, 1.0, 0.0]), "SE", "0" * 16)) if uid == "b1" else blob, {}),
+                aggregation.SpeakerEmbedding(np.array([0.0, 1.0, 0.0]), "SE", "0" * 16)) if uid == "b1" else blob, {}, None),
+            # a label UTF-8 cannot encode, in the label each run writes to the CSV
+            (lambda uid, blob: blob, {"entries": labelled_entries(utterance_id="a\ud800")}, None),
+            (lambda uid, blob: blob, {"entries": labelled_entries(speaker_id="a\ud800")}, "speaker"),
+            (lambda uid, blob: blob, {"entries": labelled_entries(language="x\udfff")}, "language"),
         ],
         ids=["truncated_emb", "truncated_emb_header", "no_entries", "no_d", "d_str", "entry_no_ids", "entry_not_object",
-             "entry_d_differs"],
+             "entry_d_differs", "utterance_id_surrogate", "speaker_id_surrogate", "language_surrogate"],
     )
-    def test_bad_index_exit_2(self, tmp_path, capsys, blob_edit, index_fields):
+    def test_bad_index_exit_2(self, tmp_path, capsys, blob_edit, index_fields, group_by):
         index = self.write_emb_index(tmp_path / "bad", blob_edit, **index_fields)
-        assert main(["simmatrix", str(index), "--out", str(tmp_path / "sim")]) == 2
+        group = ["--group-by", group_by] if group_by else []
+        assert main(["simmatrix", str(index), *group, "--out", str(tmp_path / "sim")]) == 2
         assert one_line(capsys.readouterr().err, "error: ")
         assert not (tmp_path / "sim.csv").exists()
 
@@ -688,6 +728,15 @@ class TestSimmatrixAbx:
         rc = main(["abx", "--reference", str(index_dir / "a1.json"), str(index_dir / "b1.json"), str(index_dir / "a2.json")])
         assert rc == 0
         assert capsys.readouterr().out.strip() == "a2"
+
+    def test_abx_huge_values(self, tmp_path, capsys):
+        # float64 holds 1e200, but its square overflows: the orthogonal candidate used to win
+        for name, values in (("ref", [1e200, 0.0]), ("ortho", [0.0, 1e200]), ("parallel", [1e200, 1.0])):
+            (tmp_path / (name + ".json")).write_text(json.dumps({"mode": "SE", "d": 2, "config_hash": "", "values": values}))
+        capsys.readouterr()
+        assert main(["abx", "--reference", str(tmp_path / "ref.json"), str(tmp_path / "ortho.json"), str(tmp_path / "parallel.json")]) == 0
+        out, err = capsys.readouterr()
+        assert out == "parallel\n" and err == ""
 
 
 def test_selftest_passes(capsys):

@@ -40,6 +40,13 @@ class TestCosine:
         with pytest.raises(DimMismatch):
             cosine([1.0, 0.0], [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["norm_overflows", "norm_underflows"])
+    def test_extreme_magnitudes(self, scale):
+        # the squares overflow to inf or underflow to 0 unless the rows are rescaled first
+        x = [scale, scale]
+        assert abs(cosine(x, x) - 1.0) < 1e-12
+        assert abs(cosine(x, [scale, 0.0]) - 1.0 / np.sqrt(2)) < 1e-12
+
 
 class TestCrossSimilarity:
     def test_self_matrix_unit_diagonal(self, rng):
@@ -149,6 +156,9 @@ class TestAbxSelect:
         perm = list(rng.permutation(5))
         chosen = abx_select(ref, cands)
         assert perm[abx_select(ref, [cands[p] for p in perm])] == chosen
+
+    def test_huge_values_pick_the_parallel_candidate(self):
+        assert abx_select([1e200, 0.0], [[0.0, 1e200], [1e200, 1.0]]) == 1
 
     def test_needs_two(self, rng):
         with pytest.raises(DimMismatch):
