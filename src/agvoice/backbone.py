@@ -12,7 +12,7 @@ import numpy as np
 
 from .dsp import MelSpectrogram
 from .errors import IndivisibleScale, InvalidConfig
-from .nn import affine, conv1d, param_group, relu, sigmoid, softmax_rows
+from .nn import affine, conv1d, param_group, relu, sigmoid
 
 
 def require_positive_int(name, value):
@@ -51,11 +51,10 @@ class BackboneOutput:
 VARIANCE_FLOOR = 1e-9
 
 
-def se_block(x, params):
-    """Squeeze-excitation channel gate: sigmoid MLP over the time-mean."""
+def se_gate(x, params):
+    """Squeeze-excitation channel gate: sigmoid MLP over the time-mean, 1 x C."""
     s = x.mean(axis=0, keepdims=True)
-    e = sigmoid(affine(relu(affine(s, params["w1"], params["b1"])), params["w2"], params["b2"]))
-    return x * e
+    return sigmoid(affine(relu(affine(s, params["w1"], params["b1"])), params["w2"], params["b2"]))
 
 
 def res2_block(x, dilation, params):
@@ -63,7 +62,9 @@ def res2_block(x, dilation, params):
 
     Channels split into RES2_SCALE groups after a 1x1 input conv; group 1
     passes through, each later group goes through a dilated k=3 conv (and
-    ReLU) of itself plus the previous group's output.
+    ReLU) of itself plus the previous group's output. Each group's output
+    overwrites its own slice of the input conv's output, which so becomes
+    the groups' concatenation without a copy.
     """
     x = np.asarray(x)
     c = x.shape[1]
@@ -71,33 +72,53 @@ def res2_block(x, dilation, params):
         raise IndivisibleScale("C=%d not divisible by scale=%d" % (c, RES2_SCALE))
     g = c // RES2_SCALE
     h = affine(x, params["conv_in.weight"], params["conv_in.bias"])
-    ys = [h[:, :g]]
     for i in range(1, RES2_SCALE):
         gi = h[:, i * g : (i + 1) * g]
-        ys.append(relu(conv1d(gi + ys[-1], params["group%d.kernels" % (i + 1)], dilation)))
-    h = affine(np.concatenate(ys, axis=1), params["conv_out.weight"], params["conv_out.bias"])
-    return se_block(h, param_group(params, "se")) + x
+        np.maximum(conv1d(gi + h[:, (i - 1) * g : i * g], params["group%d.kernels" % (i + 1)], dilation), 0.0, out=gi)
+    h = affine(h, params["conv_out.weight"], params["conv_out.bias"])
+    h *= se_gate(h, param_group(params, "se"))
+    h += x
+    return h
 
 
 def attentive_stats_pooling(h, params):
-    """Channel-dependent attentive mean/std pooling: concat(mu, sigma), 2C."""
+    """Channel-dependent attentive mean/std pooling: concat(mu, sigma), 2C.
+
+    One T x C array holds the logits, then the weights alpha (a softmax
+    over time per channel), then alpha * h, then alpha * h * h.
+    """
     h = np.asarray(h)
-    logits = affine(np.tanh(affine(h, params["w1"], params["b1"])), params["w2"], params["b2"])
-    alpha = softmax_rows(logits.T).T  # softmax over time, per channel
-    mu = np.sum(alpha * h, axis=0)
-    var = np.sum(alpha * h * h, axis=0) - mu * mu
+    a = affine(np.tanh(affine(h, params["w1"], params["b1"])), params["w2"], params["b2"])
+    a -= a.max(axis=0)
+    np.exp(a, out=a)
+    a /= a.sum(axis=0)
+    a *= h
+    mu = np.sum(a, axis=0)
+    a *= h
+    var = np.sum(a, axis=0) - mu * mu
     sigma = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
     return np.concatenate([mu, sigma])
 
 
 def backbone_forward(mel: MelSpectrogram, params) -> BackboneOutput:
-    """Mel frames -> (frame states H, pooled vector z)."""
-    x = relu(affine(mel.frames, params["conv_in.weight"], params["conv_in.bias"]))
-    block_outs = []
+    """Mel frames -> (frame states H, pooled vector z).
+
+    The multi-layer feature aggregation is a 1x1 conv over the three block
+    outputs side by side; it is summed block by block, each block output
+    times its C rows of the weight, so at most four T x C arrays are live.
+    """
+    x = affine(mel.frames, params["conv_in.weight"], params["conv_in.bias"])
+    np.maximum(x, 0.0, out=x)
+    w = params["mfa.weight"]
+    c = x.shape[1]
     for i, dil in enumerate(DILATIONS):
         x = res2_block(x, dil, param_group(params, "block%d" % (i + 1)))
-        block_outs.append(x)
-    agg = affine(np.concatenate(block_outs, axis=1), params["mfa.weight"], params["mfa.bias"])
+        if i == 0:
+            agg = x @ w[:c]
+        else:
+            agg += x @ w[i * c : (i + 1) * c]
+    del x
+    agg += params["mfa.bias"]
     frame_states = affine(agg, params["proj_frames.weight"], params["proj_frames.bias"])
     stats = attentive_stats_pooling(agg, param_group(params, "pool"))
     pooled = affine(stats[None, :], params["proj_pooled.weight"], params["proj_pooled.bias"])[0]

@@ -194,13 +194,12 @@ def cmd_embed(args):
         return None
 
     # One outcome per manifest line, in order. A raised failure stops the loop,
-    # and Executor.map cancels every job that has not started.
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(one, records))
-    else:
-        # One worker runs in this thread: a pool thread raised peak RSS by ~6% (~50 MB) on 60 s clips.
-        outcomes = list(map(one, records))
+    # and Executor.map cancels every job that has not started. One worker runs
+    # in a pool thread too: on two 60 s clips at C=512 that peaks at 184 MB RSS
+    # in every run, where the main thread's heap kept 179 or 199 MB depending
+    # on how earlier allocations fell (at 300 s: 603 MB against 594).
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        outcomes = list(pool.map(one, records))
     entries = [
         {**{key: rec[key] for key in LABELS}, "file": rec["utterance_id"] + ext}
         for rec, err in zip(records, outcomes)
@@ -234,7 +233,7 @@ def cmd_f0(args):
 
 
 def _read_embedding_file(path):
-    """The vector of an embedding file in the format its extension names (binary for any other), checked finite."""
+    """The embedding in a file, in the format its extension names (binary for any other), checked finite."""
     read = next((read for ext, _, read in FORMATS.values() if path.endswith(ext)), FORMATS["bin"][2])
     try:
         with open(path, "rb") as f:
@@ -245,7 +244,20 @@ def _read_embedding_file(path):
         raise InputError("bad embedding file %s: %s" % (path, e)) from None
     if not np.isfinite(emb.vector).all():
         raise InputError("embedding file %s holds non-finite values" % path)
-    return emb.vector
+    if not isinstance(emb.config_hash, str):
+        raise InputError("embedding file %s: config_hash is not a string" % path)
+    return emb
+
+
+def _one_model(named_hashes):
+    """Refuse (name, config_hash) pairs whose non-empty hashes differ: cosines across models mean nothing.
+
+    `.emb` files carry no hash, so they are never refused.
+    """
+    known = [(name, h) for name, h in named_hashes if h]
+    for name, h in known[1:]:
+        if h != known[0][1]:
+            raise InputError("%s has config_hash %s, %s has %s: embeddings of different models" % (name, h, *known[0]))
 
 
 def _load_index_embeddings(index_path):
@@ -259,14 +271,19 @@ def _load_index_embeddings(index_path):
         raise InputError("index has no entries list")
     if isinstance(index.get("d"), bool) or not isinstance(index.get("d"), int):
         raise InputError("index has no integer d")
+    index_hash = index.get("config_hash", "")
+    if not isinstance(index_hash, str):
+        raise InputError("index config_hash is not a string")
     entries = [_string_fields(e, ("file", *LABELS), "index entry %d" % i) for i, e in enumerate(index["entries"], 1)]
     base = os.path.dirname(os.path.abspath(index_path))
-    vecs = []
+    hashes, vecs = [("the index", index_hash)], []
     for entry in entries:
-        vec = _read_embedding_file(os.path.join(base, entry["file"]))
-        if len(vec) != index["d"]:
-            raise DimMismatch("embedding %s has d=%d, index says %d" % (entry["file"], len(vec), index["d"]))
-        vecs.append(vec)
+        emb = _read_embedding_file(os.path.join(base, entry["file"]))
+        if len(emb.vector) != index["d"]:
+            raise DimMismatch("embedding %s has d=%d, index says %d" % (entry["file"], len(emb.vector), index["d"]))
+        hashes.append((entry["file"], emb.config_hash))
+        vecs.append(emb.vector)
+    _one_model(hashes)
     if len(vecs) < 2:
         raise InputError("need at least 2 embeddings")
     return entries, np.array(vecs)
@@ -299,7 +316,8 @@ def cmd_simmatrix(args):
 def cmd_abx(args):
     ref = _read_embedding_file(args.reference)
     cands = [_read_embedding_file(p) for p in args.candidates]
-    idx = evaluation.abx_select(ref, cands)
+    _one_model(zip([args.reference, *args.candidates], [e.config_hash for e in (ref, *cands)]))
+    idx = evaluation.abx_select(ref.vector, [c.vector for c in cands])
     stem = os.path.basename(args.candidates[idx])
     print(stem[: stem.rfind(".")] if "." in stem else stem)
     return 0

@@ -62,7 +62,9 @@ def affine(x, w, b):
     x, w, b = np.asarray(x), np.asarray(w), np.asarray(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeMismatch("affine: %s @ %s + %s" % (x.shape, w.shape, b.shape))
-    return x @ w + b
+    y = x @ w
+    y += b  # in place: one T x out result is live, not two
+    return y
 
 
 def conv1d(x, kernels, dilation=1):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from agvoice.backbone import (
     attentive_stats_pooling,
     backbone_forward,
     res2_block,
-    se_block,
+    se_gate,
 )
 from agvoice.dsp import MelSpectrogram
 from agvoice.errors import IndivisibleScale
@@ -45,17 +47,17 @@ class TestSeBlock:
     def test_closed_gate_halves(self, rng):
         x = rng.standard_normal((5, 8))
         p = {"w1": np.zeros((8, 4)), "b1": np.zeros(4), "w2": np.zeros((4, 8)), "b2": np.zeros(8)}
-        assert np.allclose(se_block(x, p), 0.5 * x, atol=1e-15)
+        assert np.allclose(x * se_gate(x, p), 0.5 * x, atol=1e-15)
 
     def test_open_gate_passes(self, rng):
         x = rng.standard_normal((5, 8))
         p = {"w1": np.zeros((8, 4)), "b1": np.zeros(4), "w2": np.zeros((4, 8)), "b2": np.full(8, 50.0)}
-        assert np.max(np.abs(se_block(x, p) - x)) < 1e-12
+        assert np.max(np.abs(x * se_gate(x, p) - x)) < 1e-12
 
     def test_matches_loop(self, rng):
         x = rng.standard_normal((6, 8))
         p = se_params(rng, 8, 4)
-        assert np.max(np.abs(se_block(x, p) - loop_se(x, p))) < 1e-12
+        assert np.max(np.abs(x * se_gate(x, p) - loop_se(x, p))) < 1e-12
 
 
 class TestRes2Block:
@@ -93,8 +95,10 @@ class TestRes2Block:
 
     def test_matches_loop(self, rng):
         x = rng.standard_normal((9, 16))
+        x_before = x.copy()
         p = res2_params(rng, 16)
         assert np.max(np.abs(res2_block(x, 2, p) - loop_res2(x, 2, p))) < 1e-10
+        assert np.array_equal(x, x_before)
 
     def test_indivisible_scale(self, rng):
         with pytest.raises(IndivisibleScale):
@@ -121,7 +125,9 @@ class TestAttentiveStatsPooling:
     def test_matches_loop(self, rng):
         h = rng.standard_normal((6, 4))
         p = {"w1": rng.standard_normal((4, 4)), "b1": rng.standard_normal(4) * 0.1, "w2": rng.standard_normal((4, 4)), "b2": rng.standard_normal(4) * 0.1}
+        h_before = h.copy()
         assert np.max(np.abs(attentive_stats_pooling(h, p) - loop_asp(h, p))) < 1e-10
+        assert np.array_equal(h, h_before)
 
     def test_sigma_strictly_positive(self, rng):
         h = np.zeros((5, 3))
@@ -158,16 +164,36 @@ class TestBackboneForward:
     def test_matches_composed_oracle(self, rng):
         cfg = BackboneConfig(channels=16, d_model=8)
         store = self._store(cfg, seed=11)
-        mel = MelSpectrogram(rng.standard_normal((5, 80)))
+        # T=40 puts frames past the widest padding (dilation 4 pads 4 frames each side)
+        mel = MelSpectrogram(rng.standard_normal((40, 80)))
         out = backbone_forward(mel, param_group(store.entries, "backbone"))
         ref_states, ref_pooled = loop_backbone(mel.frames, dict(param_group(store.entries, "backbone")))
-        assert np.max(np.abs(out.frame_states - ref_states)) < 1e-9
-        assert np.max(np.abs(out.pooled - ref_pooled)) < 1e-9
+        assert np.max(np.abs(out.frame_states - ref_states)) < 1e-12
+        assert np.max(np.abs(out.pooled - ref_pooled)) < 1e-12
 
     def test_params_not_mutated(self, rng):
         cfg = BackboneConfig(channels=16, d_model=8)
         store = self._store(cfg)
         before = {k: v.copy() for k, v in store.entries.items()}
-        backbone_forward(MelSpectrogram(rng.standard_normal((6, 80))), param_group(store.entries, "backbone"))
+        mel = MelSpectrogram(rng.standard_normal((6, 80)))
+        frames_before = mel.frames.copy()
+        backbone_forward(mel, param_group(store.entries, "backbone"))
         for k, v in before.items():
             assert np.array_equal(store.entries[k], v)
+        assert np.array_equal(mel.frames, frames_before)
+
+    def test_peak_memory_is_four_frame_arrays(self, rng):
+        # block outputs are summed into the aggregation one by one and the Res2
+        # groups, SE gate, residual and pooling softmax work in place: ~4 T x C
+        # float64 arrays are live, not the ~8 a concatenating pass holds
+        t, c = 1000, 512
+        store = self._store(BackboneConfig(channels=c, d_model=192))
+        params = param_group(store.entries, "backbone")
+        mel = MelSpectrogram(rng.standard_normal((t, 80)))
+        tracemalloc.start()
+        try:
+            backbone_forward(mel, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * t * c * 8

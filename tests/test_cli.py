@@ -673,9 +673,10 @@ class TestSimmatrixAbx:
             '{"mode": "SE", "d": true, "config_hash": "", "values": [1]}',
             '{"mode": "SE", "d": 2.0, "config_hash": "", "values": [1, 0]}',
             '{"mode": "SE", "d": 2, "config_hash": "", "values": [1%s, 0]}' % ("0" * 400),
+            '{"mode": "SE", "d": 2, "config_hash": 0, "values": [1, 0]}',
         ],
         ids=["unparseable", "list", "no_values", "str_value", "nan_value", "nested_values", "numeric_str_and_bool_values",
-             "bool_value", "d_bool", "d_float", "int_beyond_float64"],
+             "bool_value", "d_bool", "d_float", "int_beyond_float64", "config_hash_not_str"],
     )
     def test_bad_embedding_json_exit_2(self, index_dir, tmp_path, capsys, text):
         # a1 is the first entry and is given to abx twice, so the bad vector is also scored against itself
@@ -722,6 +723,20 @@ class TestSimmatrixAbx:
         capsys.readouterr()
         assert main(argv) == 2
         assert one_line(capsys.readouterr().err, "error: ")
+        assert not (index_dir / "sim.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simmatrix", "index.json", "--out", "sim"], ["abx", "--reference", "a1.json", "a2.json", "b2.json"]],
+        ids=["simmatrix", "abx"],
+    )
+    def test_other_model_exit_2(self, index_dir, capsys, monkeypatch, argv):
+        # b2 comes from a weight file of another config; cosines across models mean nothing
+        (index_dir / "b2.json").write_text(json.dumps({"mode": "SE", "d": 2, "config_hash": "1" * 16, "values": [0.1, 0.9]}))
+        monkeypatch.chdir(index_dir)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert one_line(err, "error: ") and "b2.json" in err
         assert not (index_dir / "sim.csv").exists()
 
     def test_abx(self, index_dir, capsys):
