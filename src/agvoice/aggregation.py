@@ -2,8 +2,10 @@
 
 The frame states from the speaker backbone are prompted with encoded F0
 (level 1), optionally probed again with the mel encoding (level 2), and
-the result is fused with a bank of learned tokens through multi-head
-attention. Every Table-3-style ablation is a `mode` of the same forward.
+the time-mean of the result is fused with a bank of learned tokens
+through multi-head attention. Only that mean of the last level is used,
+so the last level computes it directly. Every Table-3-style ablation is
+a `mode` of the same forward.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ from .nn import (
     SCALE_MODES,
     affine,
     attention_backward,
+    exp_scores,
     glu_gated_conv,
     multi_head_attention,
     multi_head_attention_backward,
@@ -132,17 +135,40 @@ def _check_aligned(h_query, h_kv):
         raise ShapeMismatch("stage query has %d frames, keys %d" % (h_query.shape[0], h_kv.shape[0]))
 
 
-def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt"):
+def _column_sums(q, k, scale_mode):
+    """Column sums of softmax(Q K^T / s): each row of exp scores times 1 / its sum, added up.
+
+    The scores live only inside this call, so a caller's loop holds one
+    block of them at a time.
+    """
+    e = exp_scores(q, k, scale_mode)
+    return (1.0 / e.sum(axis=1)) @ e
+
+
+def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt", pooled=False):
     """One aggregation level: project q/k/v, attend, no residual.
 
-    Both inputs must have the same frame count T. The output is computed
-    in blocks of ATTENTION_ROWS query rows against all of K and V; each
-    row's softmax sees every key, so each row is the dense kernel's (up
+    Both inputs must have the same frame count T. The scores are computed
+    in blocks of ATTENTION_ROWS query rows against all of K; each row's
+    softmax sees every key, so each output row is the dense kernel's (up
     to BLAS rounding) while only ATTENTION_ROWS x T weights exist at a
-    time. Returns (output, None): the T x T weights are never held, so
-    there is no trace to return.
+    time.
+
+    Returns (output, None); the T x T weights are never held, so there is
+    no trace to return. The output is T x d, or with `pooled` the 1 x d
+    mean of its rows, for a last level whose rows are only averaged. Each
+    softmax row sums to 1, so that mean is (column-mean of A) h_kv Wv + bv:
+    the pooled form makes no V projection, no A V product and no
+    normalised weights.
     """
     _check_aligned(h_query, h_kv)
+    if pooled:
+        q, k = project_qkv((h_query, h_kv), params)  # two inputs: Q and K only
+        col = np.zeros(k.shape[0])
+        for i in range(0, q.shape[0], ATTENTION_ROWS):
+            col += _column_sums(q[i : i + ATTENTION_ROWS], k, scale_mode)
+        col /= q.shape[0]
+        return affine((col @ h_kv)[None], params["wv"], params["bv"]), None
     q, k, v = project_qkv((h_query, h_kv, h_kv), params)
     out = np.empty((q.shape[0], v.shape[1]))
     for i in range(0, q.shape[0], ATTENTION_ROWS):
@@ -150,15 +176,15 @@ def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt"):
     return out, None
 
 
-def level1_attention(h_sv, h_prompt, params, scale_mode="sqrt"):
-    """Prompt the backbone frame states with the encoded local/global cue."""
-    out, _ = cross_attention_stage(h_sv, h_prompt, params, scale_mode)
+def level1_attention(h_sv, h_prompt, params, scale_mode="sqrt", pooled=False):
+    """Prompt the backbone frame states with the encoded local/global cue; pooled when it is the last level."""
+    out, _ = cross_attention_stage(h_sv, h_prompt, params, scale_mode, pooled)
     return out
 
 
 def level2_attention(h_query, h_ca1, params, scale_mode="sqrt"):
-    """Probe the level-1 aggregate with the remaining cue as queries."""
-    out, _ = cross_attention_stage(h_query, h_ca1, params, scale_mode)
+    """Probe the level-1 aggregate with the remaining cue as queries: the last level, so 1 x d."""
+    out, _ = cross_attention_stage(h_query, h_ca1, params, scale_mode, pooled=True)
     return out
 
 
@@ -203,8 +229,12 @@ def aggregate(h_sv, z, mel, contour, params, cfg: AggregationConfig):
     if not cues:
         return z
     sm = cfg.scale_mode
-    h = level1_attention(h_sv, _encode(cues[0], mel, contour, params), param_group(params, "level1"), sm)
-    if len(cues) == 2:
+    prompt, p1 = _encode(cues[0], mel, contour, params), param_group(params, "level1")
+    # Only the time-mean of the last level is used, so that level is pooled.
+    if len(cues) == 1:
+        h = level1_attention(h_sv, prompt, p1, sm, pooled=True)
+    else:
+        h = level1_attention(h_sv, prompt, p1, sm)
         h = level2_attention(_encode(cues[1], mel, contour, params), h, param_group(params, "level2"), sm)
     pooled = h.mean(axis=0)
     if cfg.splitting:

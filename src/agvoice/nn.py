@@ -4,7 +4,10 @@ Everything is float64, pure, and deterministic. The dense attention
 kernel returns its Tq x Tk softmax weights with the output
 (AttentionTrace), so the analytic backward does not have to recompute
 them. Only this dense kernel keeps weights: the aggregation levels call
-it on blocks of query rows and keep just the output.
+it on blocks of query rows and keep just the output. The weights are
+built by `exp_scores` in the one Tq x Tk array the score product
+returns, so a call holds one such array, not the five a composed
+softmax makes; the last aggregation level uses `exp_scores` alone.
 """
 
 from dataclasses import dataclass
@@ -103,12 +106,28 @@ def _scale(d, scale_mode):
     raise ValueError("unknown scale_mode %r" % scale_mode)
 
 
+def exp_scores(q, k, scale_mode="sqrt"):
+    """exp(Q K^T / s - row max): the softmax weights before each row is divided by its sum.
+
+    Every step works in place on the one Tq x Tk array of the product,
+    and the values are bit for bit those softmax_rows computes on the way.
+    """
+    w = q @ k.T
+    w /= _scale(q.shape[1], scale_mode)
+    w -= w.max(axis=-1, keepdims=True)
+    return np.exp(w, out=w)
+
+
 def scaled_dot_attention(q, k, v, scale_mode="sqrt") -> AttentionTrace:
-    """softmax(Q K^T / s) V with s = sqrt(d) or s = d (`linear` mode)."""
-    q, k, v = np.asarray(q), np.asarray(k), np.asarray(v)
+    """softmax(Q K^T / s) V with s = sqrt(d) or s = d (`linear` mode).
+
+    The weights equal softmax_rows((Q K^T) / s) exactly.
+    """
+    q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
         raise ShapeMismatch("attention: Q %s K %s V %s" % (q.shape, k.shape, v.shape))
-    weights = softmax_rows((q @ k.T) / _scale(q.shape[1], scale_mode))
+    weights = exp_scores(q, k, scale_mode)
+    weights /= weights.sum(axis=-1, keepdims=True)
     return AttentionTrace(weights @ v, weights)
 
 

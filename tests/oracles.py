@@ -63,6 +63,19 @@ def loop_attention(q, k, v, scale_mode="sqrt"):
     return out
 
 
+def loop_stage(hq, hkv, params, scale_mode="sqrt"):
+    """One aggregation level: loop_affine projections of the query and key/value states, then loop_attention."""
+    q = loop_affine(hq, params["wq"], params["bq"])
+    k = loop_affine(hkv, params["wk"], params["bk"])
+    v = loop_affine(hkv, params["wv"], params["bv"])
+    return loop_attention(q, k, v, scale_mode)
+
+
+def loop_pooled_stage(hq, hkv, params, scale_mode="sqrt"):
+    """The 1 x d mean of loop_stage's rows: what a pooled last level returns."""
+    return loop_stage(hq, hkv, params, scale_mode).mean(axis=0, keepdims=True)
+
+
 def loop_mha(q, k, v, heads, params):
     def aff(x, w, b):
         return np.array([[b[j] + sum(x[i, r] * w[r, j] for r in range(x.shape[1])) for j in range(w.shape[1])] for i in range(x.shape[0])])
@@ -193,12 +206,16 @@ def loop_resample(samples, src, target, zero_crossings=64, beta=8.0, cutoff_frac
     return out
 
 
-def dft_magnitude_frame(windowed_frame, n_fft=1024):
-    """Direct DFT of one already-windowed frame (no FFT)."""
+def dft_basis(n_fft=1024):
+    """The (n_fft/2 + 1) x n_fft direct DFT matrix exp(-2 pi i k n / n_fft)."""
     n = np.arange(n_fft)
     bins = np.arange(n_fft // 2 + 1)
-    basis = np.exp(-2j * np.pi * np.outer(bins, n) / n_fft)
-    return np.abs(basis @ windowed_frame)
+    return np.exp(-2j * np.pi * np.outer(bins, n) / n_fft)
+
+
+def dft_magnitude_frame(windowed_frame, n_fft=1024):
+    """Direct DFT of one already-windowed frame (no FFT)."""
+    return np.abs(dft_basis(n_fft) @ windowed_frame)
 
 
 def slaney_mel(f):
@@ -278,9 +295,10 @@ def brute_log_mel(samples, n_mels=80, n_fft=1024, win=1024, hop=256, sr=22050):
     n_frames = (len(samples) - win) // hop + 1
     window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(win) / win)
     fb = brute_filterbank(n_mels, n_fft, sr)
+    basis = dft_basis(n_fft)
     rows = []
     for t in range(n_frames):
-        mag = dft_magnitude_frame(samples[t * hop : t * hop + win] * window, n_fft)
+        mag = np.abs(basis @ (samples[t * hop : t * hop + win] * window))
         rows.append(np.log(np.maximum(fb @ mag, 1e-5)))
     return np.vstack(rows)
 
@@ -295,38 +313,48 @@ def brute_f0_features(samples, win=1024, hop=256, sr=22050):
     return feats
 
 
+# Mode -> cues in level order, as the paper's ablation table names them:
+# the first cue prompts the backbone states, the second probes that result.
+MODE_CUES = {
+    "SE": (),
+    "SE_F0": ("f0",),
+    "SE_ME": ("me",),
+    "SE_F0_then_ME": ("f0", "me"),
+    "SE_ME_then_F0": ("me", "f0"),
+}
+
+
 def reference_embedding(samples, entries, agg_cfg):
-    """End-to-end composition of the stage oracles (SE_F0_then_ME path).
+    """End-to-end composition of the stage oracles, for every mode with and without splitting.
 
     `entries` is the raw name->tensor dict of a ParamStore; `samples` must
     already be at 22050 Hz.
     """
-    assert agg_cfg.mode == "SE_F0_then_ME"
     mel = brute_log_mel(samples)
     bb = {k[len("backbone."):]: v for k, v in entries.items() if k.startswith("backbone.")}
-    h_sv, _z = loop_backbone(mel, bb)
+    h_sv, z = loop_backbone(mel, bb)
+    cues = MODE_CUES[agg_cfg.mode]
+    if not cues:
+        return z
 
     ag = {k[len("agg."):]: v for k, v in entries.items() if k.startswith("agg.")}
-    feats = brute_f0_features(samples)
-    h = np.maximum(loop_affine(feats, ag["f0_enc.fc1.weight"], ag["f0_enc.fc1.bias"]), 0.0)
-    h_f0 = loop_affine(h, ag["f0_enc.fc2.weight"], ag["f0_enc.fc2.bias"])
 
-    h = np.maximum(loop_affine(mel, ag["mel_enc.fc1.weight"], ag["mel_enc.fc1.bias"]), 0.0)
-    h = np.maximum(loop_affine(h, ag["mel_enc.fc2.weight"], ag["mel_enc.fc2.bias"]), 0.0)
-    h_me = loop_glu(h, ag["mel_enc.glu.kernels"], ag["mel_enc.glu.bias"])
+    def group(prefix):
+        return {k[len(prefix):]: v for k, v in ag.items() if k.startswith(prefix)}
 
-    def stage(hq, hkv, prefix):
-        t = min(len(hq), len(hkv))
-        q = loop_affine(hq[:t], ag[prefix + "wq"], ag[prefix + "bq"])
-        k = loop_affine(hkv[:t], ag[prefix + "wk"], ag[prefix + "bk"])
-        v = loop_affine(hkv[:t], ag[prefix + "wv"], ag[prefix + "bv"])
-        return loop_attention(q, k, v, agg_cfg.scale_mode)
+    def encode(cue):
+        if cue == "f0":
+            h = np.maximum(loop_affine(brute_f0_features(samples), ag["f0_enc.fc1.weight"], ag["f0_enc.fc1.bias"]), 0.0)
+            return loop_affine(h, ag["f0_enc.fc2.weight"], ag["f0_enc.fc2.bias"])
+        h = np.maximum(loop_affine(mel, ag["mel_enc.fc1.weight"], ag["mel_enc.fc1.bias"]), 0.0)
+        h = np.maximum(loop_affine(h, ag["mel_enc.fc2.weight"], ag["mel_enc.fc2.bias"]), 0.0)
+        return loop_glu(h, ag["mel_enc.glu.kernels"], ag["mel_enc.glu.bias"])
 
-    h_ca1 = stage(h_sv, h_f0, "level1.")
-    h_ca2 = stage(h_me, h_ca1, "level2.")
+    h = loop_stage(h_sv, encode(cues[0]), group("level1."), agg_cfg.scale_mode)
+    if len(cues) == 2:
+        h = loop_stage(encode(cues[1]), h, group("level2."), agg_cfg.scale_mode)
 
+    query = h.mean(axis=0, keepdims=True)
     if not agg_cfg.splitting:
-        return h_ca2.mean(axis=0)
-    query = h_ca2.mean(axis=0, keepdims=True)
-    fuse = {k[len("fuse."):]: v for k, v in ag.items() if k.startswith("fuse.")}
-    return loop_mha(query, ag["tokens"], ag["tokens"], agg_cfg.heads, fuse)[0]
+        return query[0]
+    return loop_mha(query, ag["tokens"], ag["tokens"], agg_cfg.heads, group("fuse."))[0]

@@ -196,21 +196,17 @@ def test_criterion_6_singleton_key_degeneracy(capfd):
 
 def test_criterion_7_mode_matrix(capfd):
     buf = harmonic_voice(180.0, 1.0, seconds=0.5)
-    vectors = {}
     ok = True
+    gap = 0.0
     for mode in MODES:
         for splitting in (True, False):
             agg = AggregationConfig(mode=mode, splitting=splitting, n_tokens=2, heads=2, d_model=8)
             store = init_params(DESK_BB, agg, seed=11)
             emb = extract_embedding(buf, store, DESK_BB, agg)
             ok &= emb.vector.shape == (8,) and np.isfinite(emb.vector).all()
-            vectors[(mode, splitting)] = emb.vector
-    store = init_params(DESK_BB, DESK_AGG, seed=11)
-    lib = extract_embedding(buf, store, DESK_BB, DESK_AGG).vector
-    ref = reference_embedding(buf.samples, dict(store.entries), DESK_AGG)
-    gap = float(np.max(np.abs(lib - ref)))
+            gap = max(gap, float(np.max(np.abs(emb.vector - reference_embedding(buf.samples, store.entries, agg)))))
     ok &= gap < 1e-8
-    verdict(capfd, 7, ok, "10 mode/split variants finite, oracle gap %.2e" % gap)
+    verdict(capfd, 7, ok, "10 mode/split variants finite, worst oracle gap %.2e" % gap)
 
 
 def test_criterion_8_embed_determinism(capfd, tmp_path, wav_factory):

@@ -28,7 +28,7 @@ from agvoice.errors import EmptyContour, ShapeMismatch
 from agvoice.nn import affine, glu_gated_conv, gradcheck, param_group, project_qkv, relu, scaled_dot_attention
 from agvoice.weights import init_params
 from conftest import sine
-from oracles import loop_attention, loop_mha, reference_embedding
+from oracles import loop_attention, loop_mha, loop_pooled_stage, reference_embedding
 
 
 def stage_params(rng, d):
@@ -216,17 +216,31 @@ class TestBlockedStage:
             # another height, so across blocks the match is to the last ulps.
             assert np.max(np.abs(out - dense)) < 1e-14
 
+    @pytest.mark.parametrize("t", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
+    @pytest.mark.parametrize("mode", ["sqrt", "linear"])
+    def test_pooled_matches_mean_of_loop_rows(self, rng, t, mode):
+        d = 4
+        p = stage_params(rng, d)
+        hq, hkv = rng.standard_normal((t, d)), rng.standard_normal((t, d))
+        out, second = cross_attention_stage(hq, hkv, p, mode, pooled=True)
+        assert out.shape == (1, d) and second is None
+        assert np.max(np.abs(out - loop_pooled_stage(hq, hkv, p, mode))) < 1e-12
+
     def test_peak_memory_below_one_score_matrix(self, rng):
+        # Each block's scores live in one ROWS x t array, released before
+        # the next block's is made; the bound leaves half a block for the
+        # t x d projections.
         d, t = 8, 2048
         p = stage_params(rng, d)
         hq, hkv = rng.standard_normal((t, d)), rng.standard_normal((t, d))
-        tracemalloc.start()
-        try:
-            cross_attention_stage(hq, hkv, p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < t * t * 8
+        for pooled in (False, True):
+            tracemalloc.start()
+            try:
+                cross_attention_stage(hq, hkv, p, pooled=pooled)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * ROWS * t * 8, (pooled, peak / (ROWS * t * 8))
 
 
 class TestSplitAndFuse:

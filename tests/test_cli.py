@@ -419,6 +419,16 @@ class TestEmbed:
         assert one_line(capsys.readouterr().err, "error: ")
         assert not (tmp_path / "deep").exists()
 
+    def test_utterance_named_like_the_index_exit_2(self, tmp_path, weights_file, manifest, capsys):
+        # "index" + ".json" would be written over by index.json, which would then list itself
+        rec = {"path": "utt0.wav", "utterance_id": "index", "speaker_id": "s", "language": "xx"}
+        manifest.write_text(manifest.read_text() + json.dumps(rec) + "\n")
+        out = tmp_path / "deep" / "out"
+        capsys.readouterr()
+        assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(out)]) == 2
+        assert one_line(capsys.readouterr().err, "error: ")
+        assert not (tmp_path / "deep").exists()
+
     def test_manifest_line_not_object_exit_2(self, tmp_path, weights_file, capsys):
         manifest = tmp_path / "list.jsonl"
         manifest.write_text("3\n")
@@ -759,6 +769,7 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "gradcheck worst relative error" in out
+    assert "pooled stage vs mean of full rows" in out
 
 
 def test_selftest_corrupt_weights(tmp_path, weights_file):

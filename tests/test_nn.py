@@ -124,6 +124,15 @@ class TestAttention:
         b = scaled_dot_attention(q, k, v, "linear")
         assert np.array_equal(a.weights, b.weights)
 
+    @pytest.mark.parametrize("mode,s", [("sqrt", 5.0**0.5), ("linear", 5.0)])
+    def test_weights_are_softmax_rows_inputs_untouched(self, rng, mode, s):
+        # the softmax is built in place in the score array; 30x logits reach exp underflow
+        q, k, v = rng.standard_normal((7, 5)) * 30.0, rng.standard_normal((11, 5)), rng.standard_normal((11, 3))
+        before = [a.copy() for a in (q, k, v)]
+        tr = scaled_dot_attention(q, k, v, mode)
+        assert np.array_equal(tr.weights, softmax_rows((q @ k.T) / s))
+        assert all(np.array_equal(a, b) for a, b in zip((q, k, v), before))
+
     def test_deterministic(self, rng):
         q, k, v = rng.standard_normal((2, 3)), rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
         a = scaled_dot_attention(q, k, v)
