@@ -68,12 +68,15 @@ def _load_model(path):
 
 
 def _atomic_write(path, data):
-    """Write `path` through a temp file beside it, with the mode a plain open() gives (0o666 less the umask)."""
-    mode = "wb" if isinstance(data, bytes) else "w"
+    """Write `path` through a temp file beside it, with the mode a plain open() gives (0o666 less the umask).
+
+    Text is written as UTF-8 whatever the locale, so a file's bytes do not depend on it.
+    """
+    binary = isinstance(data, bytes)
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), "tmp%s" % os.urandom(8).hex())
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, mode) as f:
+        with os.fdopen(fd, "wb" if binary else "w", encoding=None if binary else "utf-8") as f:
             f.write(data)
         os.replace(tmp, path)
     except BaseException:

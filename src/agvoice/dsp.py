@@ -192,14 +192,14 @@ def yin_f0(buf: AudioBuffer) -> F0Contour:
 
 def mel_to_csv(mel: MelSpectrogram) -> str:
     """CSV dump: one row per frame, 9 significant digits."""
-    row_format = ",".join(["%.9g"] * mel.frames.shape[1])
-    return "\n".join(row_format % tuple(row.tolist()) for row in mel.frames) + "\n"
+    row_format = ",".join(["%.9g"] * mel.frames.shape[1]) + "\n"
+    return "".join([row_format % tuple(row.tolist()) for row in mel.frames])
 
 
 def f0_to_csv(contour: F0Contour) -> str:
-    lines = ["frame_index,f0_hz,voiced,cmnd_min"]
+    lines = ["frame_index,f0_hz,voiced,cmnd_min\n"]
     for i in range(len(contour)):
         lines.append(
-            "%d,%.9g,%d,%.9g" % (i, contour.f0_hz[i], int(contour.voiced[i]), contour.cmnd_min[i])
+            "%d,%.9g,%d,%.9g\n" % (i, contour.f0_hz[i], int(contour.voiced[i]), contour.cmnd_min[i])
         )
-    return "\n".join(lines) + "\n"
+    return "".join(lines)

@@ -82,13 +82,129 @@ def _csv_field(label) -> str:
     return text
 
 
+# Rows formatted at once: bounds the block's arrays (16 bytes per cell, plus
+# a few float temporaries) to a small fraction of the text.
+CSV_BLOCK_ROWS = 32
+# Bytes per cell in a block: an 8-byte lead word and two 4-digit words.
+_SLOT = 16
+
+
+def _csv_tables():
+    """The words a fast cell's text is made of, as little-endian integers.
+
+    `lead[(neg * 4 + zeros) * 9 + digit - 1]` is ",", "-" if `neg`, "0.",
+    `zeros` zeros and the first digit, NUL-padded to 8 bytes. `words[v]` is
+    the four digits of v; `words[10000 + v]` the same with trailing zeros NUL.
+    `pow10[k]` is 10**k, exact.
+    """
+    i = np.arange(72)
+    neg, zeros, digit = i // 36, i // 9 % 4, i % 9 + 1
+    lead = np.full((72, 8), ord("0"), np.uint8)
+    lead[:, 0] = ord(",")
+    lead[neg == 1, 1] = ord("-")
+    col = np.arange(8)
+    lead[col == neg[:, None] + 2] = ord(".")
+    last = neg + zeros + 3
+    lead[col > last[:, None]] = 0
+    lead[i, last] = ord("0") + digit
+    # words[t, a, b, c, d] spells abcd; in t=1, the zeros after the last nonzero digit are NUL
+    words = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
+    chars = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    words[..., 0] = chars[:, None, None, None]
+    words[..., 1] = chars[:, None, None]
+    words[..., 2] = chars[:, None]
+    words[..., 3] = chars
+    words[1, :, :, :, 0, 3] = 0
+    words[1, :, :, 0, 0, 2] = 0
+    words[1, :, 0, 0, 0, 1] = 0
+    words[1, 0, 0, 0, 0, 0] = 0
+    pow10 = (10 ** np.arange(16, dtype=np.int64)).astype(np.float64)
+    return lead.view("<u8")[:, 0], words.reshape(20000, 4).view("<u4")[:, 0], pow10
+
+
+def _product_error(a, b, p):
+    """a*b - p exactly, where p = fl(a*b): Dekker's two-product (numpy has no fma)."""
+
+    def split(v):
+        c = v * 134217729.0  # 2**27 + 1
+        hi = c - (c - v)
+        return hi, v - hi
+
+    (ah, al), (bh, bl) = split(a), split(b)
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _cell_slots(x, tables):
+    """The 16-byte slots of the flat float64 cells `x`: "," and the text "%.9g" gives, NUL-padded, for
+    each cell with 1e-4 <= |x| < 1; all NUL for the others, which the returned mask marks."""
+    lead_words, digit_words, pow10 = tables
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1.0)
+    a[~fast] = 0.5
+    e = np.floor(np.log10(a))
+    # nine digits, rounded as "%.9g" rounds them: on the exact product, half to even
+    b = pow10.take((8.0 - e).astype(np.intp))
+    p = a * b
+    r = np.rint(p)
+    tie = np.flatnonzero(np.abs(p - r) == 0.5)
+    if tie.size:
+        err = _product_error(a[tie], b[tie], p[tie])
+        r[tie] = np.where(err > 0, np.ceil(p[tie]), np.where(err < 0, np.floor(p[tie]), r[tie]))
+    # next to a power of ten, log10 can be off by one or the rounding carry into a tenth digit
+    slow = ~(fast & (e >= -4) & (e <= -1) & (r >= 1e8) & (r < 1e9))
+    e[slow], r[slow] = -1.0, 1e8
+    first = np.floor(r / 1e8)
+    rest = r - first * 1e8
+    high = np.floor(rest / 1e4)
+    low = rest - high * 1e4
+    slots = np.empty((len(x), 4), "<u4")
+    # lead word (neg * 4 + zeros) * 9 + first - 1, with zeros = -1 - e
+    lead = 18.0 - np.copysign(18.0, x) - 9.0 * e - 10.0 + first
+    slots.view("<u8")[:, 0] = lead_words.take(lead.astype(np.intp))
+    slots[:, 2] = digit_words.take(np.where(low == 0, high + 1e4, high).astype(np.intp))
+    slots[:, 3] = digit_words.take((low + 1e4).astype(np.intp))
+    slots[slow] = 0
+    return slots, slow
+
+
 def matrix_to_csv(m: SimilarityMatrix) -> str:
-    lines = ["," + ",".join(_csv_field(c) for c in m.col_labels)]
-    # one % per row; rows convert one at a time, so no second copy of the matrix is held
-    row_format = "%s," + ",".join(["%.9g"] * m.values.shape[1])
-    for label, row in zip(m.row_labels, m.values):
-        lines.append(row_format % (_csv_field(label), *row.tolist()))
-    return "\n".join(lines) + "\n"
+    """The matrix as CSV: a header of column labels, then one row per row label, each cell "%.9g".
+
+    Cells with 1e-4 <= |x| < 1, nearly every cosine, are built from table
+    words: "%.9g" writes them as [-]0., 0 to 3 zeros and nine digits with
+    trailing zeros cut. The digits are the integer nearest x * 10**k, with
+    k = 8 - floor(log10|x|) in [9, 12]. 10**k is exact, so the float product
+    p is within half an ulp of the exact one, and an ulp of p < 1e9 is at
+    most 2**-23: rint(p) is the integer nearest the exact product unless p is
+    exactly an integer plus one half. Only there does the product's rounding
+    error (Dekker's two-product) decide the direction; a zero error is a true
+    tie, rounded half to even as Python's correctly rounded dtoa does. Every
+    other cell, and one whose digits leave [1e8, 1e9) next to a power of ten,
+    is formatted by "%.9g" itself.
+    """
+    tables = _csv_tables()
+    n = m.values.shape[1]
+    # each line ends in "\n" and the list is joined once: two copies of the text at most
+    lines = ["," + ",".join(_csv_field(c) for c in m.col_labels) + "\n"]
+    for start in range(0, len(m.values), CSV_BLOCK_ROWS):
+        block = m.values[start : start + CSV_BLOCK_ROWS]
+        x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+        slots, slow = _cell_slots(x, tables)
+        # the other cells are spliced into their rows' bytes: such a cell can be 17 bytes long
+        at_slow = np.flatnonzero(slow)
+        texts = [b",%.9g" % v for v in x[at_slow].tolist()]
+        ends = (at_slow * _SLOT).tolist()
+        labels = m.row_labels[start : start + len(block)]
+        bounds = np.searchsorted(at_slow, np.arange(len(labels) + 1) * n).tolist()
+        buf = memoryview(slots.reshape(-1).view(np.uint8))
+        for i, label in enumerate(labels):
+            at, pieces = i * n * _SLOT, []
+            for k in range(bounds[i], bounds[i + 1]):
+                pieces += (buf[at : ends[k]], texts[k])
+                at = ends[k] + _SLOT
+            pieces += (buf[at : (i + 1) * n * _SLOT], b"\n")
+            lines += (_csv_field(label), b"".join(pieces).translate(None, b"\0").decode("ascii"))
+    return "".join(lines)
 
 
 def matrix_to_pgm(m: SimilarityMatrix) -> bytes:

@@ -162,6 +162,11 @@ def loop_cosine(a, b):
     return dot / (norm_a * norm_b)
 
 
+def loop_csv_row(values):
+    """The cells of one CSV row, each "%.9g" of one Python float, each after a comma."""
+    return "".join("," + "%.9g" % float(v) for v in values)
+
+
 # --- DSP references ---------------------------------------------------------
 
 

@@ -3,10 +3,13 @@ import json
 import os
 import stat
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import agvoice
 from agvoice import aggregation, weights
 from agvoice.audio_io import CANONICAL_RATE, decode_wav, resample
 from agvoice.cli import main
@@ -624,6 +627,25 @@ class TestSimmatrixAbx:
         assert rows[0] == ["", *labels]
         assert [row[0] for row in rows[1:]] == labels
         assert all(len(row) == len(labels) + 1 for row in rows)
+
+    def test_non_ascii_labels_under_an_ascii_locale(self, tmp_path):
+        # With UTF-8 mode and C-locale coercion off, LC_ALL=C makes the locale encoding ASCII.
+        out = tmp_path / "embs"
+        out.mkdir()
+        labels = ["ü0", "日本", "Zoë"]
+        entries = []
+        for i, uid in enumerate(labels):
+            (out / ("%d.json" % i)).write_text(json.dumps({"mode": "SE", "d": 2, "config_hash": "0" * 16, "values": [1.0, i]}))
+            entries.append({"utterance_id": uid, "speaker_id": uid, "language": "xx", "file": "%d.json" % i})
+        (out / "index.json").write_text(json.dumps({"config_hash": "0" * 16, "mode": "SE", "d": 2, "format": "json", "entries": entries}))
+        src = os.path.dirname(os.path.dirname(agvoice.__file__))
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+        cmd = [sys.executable, "-m", "agvoice.cli", "simmatrix", str(out / "index.json"), "--out", str(tmp_path / "sim")]
+        proc = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        rows = list(csv.reader((tmp_path / "sim.csv").read_bytes().decode("utf-8").splitlines()))
+        assert rows[0] == ["", *labels]
+        assert [row[0] for row in rows[1:]] == labels
 
     @staticmethod
     def write_emb_index(directory, edit_blob=lambda uid, blob: blob, **index_fields):

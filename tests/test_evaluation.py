@@ -1,11 +1,15 @@
 import csv
 import io
+import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from agvoice.errors import DimMismatch, LabelMismatch, ZeroNorm
 from agvoice.evaluation import (
+    CSV_BLOCK_ROWS,
     SimilarityMatrix,
     abx_select,
     cosine,
@@ -14,7 +18,7 @@ from agvoice.evaluation import (
     matrix_to_csv,
     matrix_to_pgm,
 )
-from oracles import loop_cosine
+from oracles import loop_cosine, loop_csv_row
 
 
 class TestCosine:
@@ -187,3 +191,114 @@ class TestExports:
         assert blob.startswith(b"P5\n2 2\n255\n")
         pixels = list(blob[len(b"P5\n2 2\n255\n") :])
         assert pixels == [0, 128, 255, 191]
+
+
+def oracle_csv(values):
+    """The CSV of `values` with integer labels, one "%.9g" per cell."""
+    header = "," + ",".join(str(j) for j in range(values.shape[1])) + "\n"
+    return header + "".join("%d%s\n" % (i, loop_csv_row(row)) for i, row in enumerate(values))
+
+
+def csv_mismatch(values):
+    """None if matrix_to_csv of `values` (integer labels) is the oracle's text, else its first differing cell
+    as (line, field, got, want): a short message where a failed == on 13 MB of text would diff for minutes."""
+    values = np.asarray(values, dtype=np.float64)
+    got = matrix_to_csv(SimilarityMatrix(values, list(range(values.shape[0])), list(range(values.shape[1]))))
+    want = oracle_csv(values)
+    if got == want:
+        return None
+    for i, (got_line, want_line) in enumerate(zip(got.split("\n"), want.split("\n"))):
+        for j, (g, w) in enumerate(itertools.zip_longest(got_line.split(","), want_line.split(","))):
+            if g != w:
+                return i, j, g, w
+    return "line counts differ"
+
+
+@pytest.fixture(scope="module")
+def cosine_1k():
+    x = np.random.default_rng(2024).standard_normal((1000, 192))
+    return cross_similarity(x, x)
+
+
+def near_ties(rng, per_scale):
+    """Values x whose float product x * 10**k (k = 9..12, nine digits in fixed point) is exactly n + 1/2,
+    with the exact product just above or just below it: only the product's rounding error decides."""
+    found = []
+    for k in range(9, 13):
+        half = (rng.integers(10**8, 10**9, per_scale) + 0.5) / 10.0**k
+        for ulps in range(-3, 4):
+            x = half + ulps * np.spacing(half)
+            p = x * 10.0**k
+            found.append(x[p - np.floor(p) == 0.5])
+    return np.concatenate(found)
+
+
+def exact_side_of_half(x):
+    """For x from near_ties: the sign of the exact x * 10**k minus its float product, in integers."""
+    k = 8 - math.floor(math.log10(x))
+    num, den = x.as_integer_ratio()
+    exact, half = 2 * num * 10**k, int(2 * x * 10.0**k) * den
+    return (exact > half) - (exact < half)
+
+
+class TestCsvCells:
+    """matrix_to_csv builds most cells from digit tables; each must be the bytes "%.9g" gives."""
+
+    ADVERSARIAL = [
+        -1.7976931348623157e308, 1.7976931348623157e308, -1.2345678912345e-300, -2.5e-320, 5e-324, -5e-324,
+        2.2250738585072014e-308, -0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1.0, -1.0,
+        1.0000000000000002, 0.9999999999999999, 0.99999999995, -0.99999999995, 0.999999999949999,
+        9.9999999995e-06, 9.99999999949e-05, 9.9999999995e-05, 1e-5, 2.0**-14, -(2.0**-14), 0.5, 0.25, 0.1,
+        123456789.0, 1e17,
+    ]
+
+    def test_adversarial_cells(self):
+        tens = np.array([10.0**k for k in range(-12, 3)])
+        around = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
+        cells = np.concatenate([self.ADVERSARIAL, around, -around])
+        # every cell in every column position, rows crossing a block boundary
+        values = np.array([np.roll(cells, i) for i in range(CSV_BLOCK_ROWS + 1)])
+        assert max(len("%.9g" % v) for v in cells) == 16  # a 17-byte cell with its comma
+        assert csv_mismatch(values) is None
+
+    def test_dyadic_ties(self):
+        # m / 2**(k+1) times 10**k is exactly m * 5**k / 2: a true tie, rounded half to even
+        values = np.concatenate([np.arange(1, 2**j, 2) / 2.0**j for j in range(1, 15)])
+        values = np.concatenate([values, -values])
+        values = values[: len(values) // 50 * 50].reshape(-1, 50)
+        assert csv_mismatch(values) is None
+
+    def test_near_ties(self):
+        x = near_ties(np.random.default_rng(5), 20000)
+        sides = {exact_side_of_half(v) for v in x[:2000].tolist()}
+        assert len(x) > 50000 and sides == {-1, 1}
+        values = np.concatenate([x, -x])[: len(x) // 100 * 200].reshape(-1, 100)
+        assert csv_mismatch(values) is None
+
+    def test_cosine_matrix(self, cosine_1k):
+        assert csv_mismatch(cosine_1k.values) is None
+
+    def test_any_float_matrix(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+        from hypothesis.extra import numpy as hnp
+
+        cells = st.one_of(st.floats(), st.floats(-1.0, 1.0), st.floats(-1e-3, 1e-3))
+        shapes = st.tuples(st.sampled_from([1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]), st.integers(1, 4))
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(hnp.arrays(np.float64, shapes, elements=cells))
+        def check(values):
+            assert csv_mismatch(values) is None
+
+        check()
+
+    def test_at_most_two_copies_of_the_text(self, cosine_1k):
+        matrix_to_csv(cosine_1k)  # numpy's one-time set-up stays outside the count
+        tracemalloc.start()
+        try:
+            text = matrix_to_csv(cosine_1k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * len(text)
