@@ -7,6 +7,7 @@ invariant violation. All randomness flows from --seed.
 
 import argparse
 import ctypes
+import io
 import json
 import os
 import sys
@@ -24,10 +25,14 @@ from .nn import SCALE_MODES, gradcheck, scaled_dot_attention, attention_backward
 MODE_FLAGS = {"+".join(("se",) + cues): mode for mode, cues in MODES.items()}
 # The labels a manifest line gives an utterance and its index entry carries.
 LABELS = ("utterance_id", "speaker_id", "language")
-# --format -> (file extension, writer, reader of the file's bytes). Each looks up its
+# --format -> (file extension, writer of the file's bytes, reader of them). Each looks up its
 # aggregation function at call time, so a wrapper put on the module (perfbench's tracer) sees it.
 FORMATS = {
-    "json": (".json", lambda e: aggregation.embedding_to_json(e), lambda b: aggregation.embedding_from_json(b.decode("utf-8"))),
+    "json": (
+        ".json",
+        lambda e: aggregation.embedding_to_json(e).encode("utf-8"),
+        lambda b: aggregation.embedding_from_json(b.decode("utf-8")),
+    ),
     "bin": (".emb", lambda e: aggregation.embedding_to_bytes(e), lambda b: aggregation.embedding_from_bytes(b)),
 }
 # `embed` writes its index beside the embeddings under this name.
@@ -67,30 +72,35 @@ def _load_model(path):
     return store, bb, agg
 
 
-def _atomic_write(path, data):
-    """Write `path` through a temp file beside it, with the mode a plain open() gives (0o666 less the umask).
-
-    Text is written as UTF-8 whatever the locale, so a file's bytes do not depend on it.
-    """
-    binary = isinstance(data, bytes)
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), "tmp%s" % os.urandom(8).hex())
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+def _read_bytes(path):
+    """The bytes of a file the user named; a failed read names `path`."""
     try:
-        with os.fdopen(fd, "wb" if binary else "w", encoding=None if binary else "utf-8") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as e:
+        raise InputError("cannot read %s: %s" % (path, e.strerror)) from None
+
+
+def _atomic_write(path, data: bytes):
+    """Write `data` to `path` through a temp file beside it, with the mode a plain open() gives
+    (0o666 less the umask); a failed write names `path`, not the temp file."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), "tmp%s" % os.urandom(8).hex())
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise InputError("cannot write %s: %s" % (path, e.strerror)) from None
 
 
 def _read_audio(path):
-    try:
-        with open(path, "rb") as f:
-            return decode_wav(f.read())
-    except OSError as e:
-        raise InputError("cannot read %s: %s" % (path, e)) from None
+    return decode_wav(_read_bytes(path))
 
 
 def _string_fields(obj, keys, where):
@@ -127,12 +137,7 @@ def _manifest_record(line, lineno):
 def _read_manifest(path):
     records = []
     base = os.path.dirname(os.path.abspath(path))
-    try:
-        with open(path, "rb") as f:
-            lines = f.read().splitlines()
-    except OSError as e:
-        raise InputError("cannot read manifest: %s" % e) from None
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(_read_bytes(path).splitlines(), 1):
         try:
             line = raw.decode("utf-8").strip()
         except UnicodeDecodeError:
@@ -154,7 +159,9 @@ def _read_manifest(path):
 def cmd_init(args):
     bb, agg = aggregation.configs_from_fields(_given_fields(args))
     store = weights.init_params(bb, agg, args.seed)
-    weights.save(store, args.out)
+    blob = io.BytesIO()
+    weights.save(store, blob)
+    _atomic_write(args.out, blob.getvalue())
     print("wrote %s (%d tensors, seed %d)" % (args.out, len(store.entries), args.seed))
     return 0
 
@@ -200,7 +207,7 @@ def cmd_embed(args):
             if not (np.abs(emb.vector) <= np.finfo(np.float32).max).all():
                 raise ConfigError("embedding of %s is not finite in float32; the weights overflow" % rec["utterance_id"])
             _atomic_write(os.path.join(args.out, rec["utterance_id"] + ext), serialize(emb))
-        except (AgvError, OSError) as e:
+        except AgvError as e:
             if not args.keep_going:
                 raise
             return str(e)
@@ -233,7 +240,7 @@ def cmd_embed(args):
         "format": args.format,
         "entries": entries,
     }
-    _atomic_write(os.path.join(args.out, INDEX_FILE), json.dumps(index, indent=2, sort_keys=True))
+    _atomic_write(os.path.join(args.out, INDEX_FILE), json.dumps(index, indent=2, sort_keys=True).encode("utf-8"))
     for rec, err in zip(records, outcomes):
         if err is not None:
             print("SKIP %s: %s" % (rec["utterance_id"], err), file=sys.stderr)
@@ -257,10 +264,7 @@ def _read_embedding_file(path):
     """The embedding in a file, in the format its extension names (binary for any other), checked finite."""
     read = next((read for ext, _, read in FORMATS.values() if path.endswith(ext)), FORMATS["bin"][2])
     try:
-        with open(path, "rb") as f:
-            emb = read(f.read())
-    except OSError as e:
-        raise InputError("cannot read %s: %s" % (path, e)) from None
+        emb = read(_read_bytes(path))
     except (ShapeMismatch, ValueError, KeyError, TypeError) as e:
         raise InputError("bad embedding file %s: %s" % (path, e)) from None
     if not np.isfinite(emb.vector).all():
@@ -284,10 +288,9 @@ def _one_model(named_hashes):
 def _load_index_embeddings(index_path):
     """The entries of an index, each checked, and their embeddings as the rows of one matrix."""
     try:
-        with open(index_path, encoding="utf-8") as f:
-            index = json.load(f)
-    except (OSError, ValueError) as e:
-        raise InputError("cannot read index: %s" % e) from None
+        index = json.loads(_read_bytes(index_path).decode("utf-8"))
+    except ValueError as e:
+        raise InputError("cannot read index %s: %s" % (index_path, e)) from None
     if not isinstance(index, dict) or not isinstance(index.get("entries"), list):
         raise InputError("index has no entries list")
     if isinstance(index.get("d"), bool) or not isinstance(index.get("d"), int):
@@ -435,8 +438,6 @@ def cmd_selftest(args):
     bb = BackboneConfig(channels=16, d_model=8)
     agg = AggregationConfig(mode="SE_F0_then_ME", n_tokens=2, heads=2, d_model=8)
     store = weights.init_params(bb, agg, args.seed)
-    import io
-
     b1, b2 = io.BytesIO(), io.BytesIO()
     weights.save(store, b1)
     weights.save(weights.load(io.BytesIO(b1.getvalue())), b2)

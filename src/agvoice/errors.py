@@ -36,7 +36,7 @@ class RateOutOfRange(InputError):
     pass
 
 
-# dsp_frontend
+# dsp
 class TooShort(InputError):
     pass
 

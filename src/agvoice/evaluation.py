@@ -167,8 +167,8 @@ def _cell_slots(x, tables):
     return slots, slow
 
 
-def matrix_to_csv(m: SimilarityMatrix) -> str:
-    """The matrix as CSV: a header of column labels, then one row per row label, each cell "%.9g".
+def matrix_to_csv(m: SimilarityMatrix) -> bytes:
+    """The matrix as UTF-8 CSV: a header of column labels, then one row per row label, each cell "%.9g".
 
     Cells with 1e-4 <= |x| < 1, nearly every cosine, are built from table
     words: "%.9g" writes them as [-]0., 0 to 3 zeros and nine digits with
@@ -185,7 +185,7 @@ def matrix_to_csv(m: SimilarityMatrix) -> str:
     tables = _csv_tables()
     n = m.values.shape[1]
     # each line ends in "\n" and the list is joined once: two copies of the text at most
-    lines = ["," + ",".join(_csv_field(c) for c in m.col_labels) + "\n"]
+    lines = [("," + ",".join(_csv_field(c) for c in m.col_labels) + "\n").encode("utf-8")]
     for start in range(0, len(m.values), CSV_BLOCK_ROWS):
         block = m.values[start : start + CSV_BLOCK_ROWS]
         x = np.ascontiguousarray(block, dtype=np.float64).ravel()
@@ -203,8 +203,9 @@ def matrix_to_csv(m: SimilarityMatrix) -> str:
                 pieces += (buf[at : ends[k]], texts[k])
                 at = ends[k] + _SLOT
             pieces += (buf[at : (i + 1) * n * _SLOT], b"\n")
-            lines += (_csv_field(label), b"".join(pieces).translate(None, b"\0").decode("ascii"))
-    return "".join(lines)
+            # a label may hold a NUL, so only the cells go through translate
+            lines += (_csv_field(label).encode("utf-8"), b"".join(pieces).translate(None, b"\0"))
+    return b"".join(lines)
 
 
 def matrix_to_pgm(m: SimilarityMatrix) -> bytes:

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import stat
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import agvoice
-from agvoice import aggregation, weights
+from agvoice import aggregation, cli, weights
 from agvoice.audio_io import CANONICAL_RATE, decode_wav, resample
 from agvoice.cli import main
 from agvoice.dsp import f0_to_csv, mel_spectrogram, mel_to_csv, yin_f0
@@ -784,6 +785,77 @@ class TestSimmatrixAbx:
         assert main(["abx", "--reference", str(tmp_path / "ref.json"), str(tmp_path / "ortho.json"), str(tmp_path / "parallel.json")]) == 0
         out, err = capsys.readouterr()
         assert out == "parallel\n" and err == ""
+
+
+class TestFileErrors:
+    """Each user file is read by one reader and each output written by one atomic writer; a failure names the file."""
+
+    # case -> (argv, the file the command cannot read), under a tmp_path prepared by the test
+    READS = {
+        "manifest": lambda t, w: (["embed", t / "nope.jsonl", "--weights", w, "--out", t / "out"], t / "nope.jsonl"),
+        "manifest_wav": lambda t, w: (["embed", t / "gone.jsonl", "--weights", w, "--out", t / "out"], t / "gone.wav"),
+        "index": lambda t, w: (["simmatrix", t / "nope.json", "--out", t / "sim"], t / "nope.json"),
+        "index_entry": lambda t, w: (["simmatrix", t / "emb" / "index.json", "--out", t / "sim"], t / "emb" / "gone.emb"),
+        "abx_reference": lambda t, w: (
+            ["abx", "--reference", t / "emb" / "gone.emb", t / "emb" / "a1.emb", t / "emb" / "b1.emb"], t / "emb" / "gone.emb"),
+        "abx_candidate": lambda t, w: (
+            ["abx", "--reference", t / "emb" / "a1.emb", t / "emb" / "b1.emb", t / "emb" / "gone.emb"], t / "emb" / "gone.emb"),
+        "directory": lambda t, w: (["mel", t / "emb"], t / "emb"),
+    }
+
+    @pytest.mark.parametrize("case", list(READS))
+    def test_read_error_names_the_file(self, tmp_path, weights_file, capsys, case):
+        TestSimmatrixAbx.write_emb_index(tmp_path / "emb", entries=labelled_entries(file="gone.emb"))
+        line = {"path": "gone.wav", "utterance_id": "u", "speaker_id": "s"}
+        (tmp_path / "gone.jsonl").write_text(json.dumps(line) + "\n")
+        argv, path = self.READS[case](tmp_path, weights_file)
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert one_line(err, "error: cannot read %s: " % path) and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simmatrix", "init"])
+    def test_write_error_names_the_target(self, tmp_path, capsys, command):
+        index = TestSimmatrixAbx.write_emb_index(tmp_path / "emb")
+        prefix = tmp_path / "missing" / "out"
+        argv, target = {
+            "simmatrix": (["simmatrix", index, "--out", prefix], "%s.csv" % prefix),
+            "init": (["init", "--channels", "16", "--dmodel", "8", "--tokens", "2", "--heads", "2", "--out", prefix], prefix),
+        }[command]
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: cannot write %s: %s\n" % (target, os.strerror(errno.ENOENT))
+        assert "tmp" not in err.replace(str(target), "")  # not the temp file beside it
+
+    def test_keep_going_write_error_names_the_target(self, tmp_path, weights_file, manifest, capsys):
+        out = tmp_path / "out"
+        (out / "utt1.json").mkdir(parents=True)  # a directory where utt1's embedding goes
+        capsys.readouterr()
+        assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(out), "--keep-going"]) == 0
+        err = capsys.readouterr().err
+        assert err == "SKIP utt1: cannot write %s: %s\n" % (out / "utt1.json", os.strerror(errno.EISDIR))
+        assert sorted(p.name for p in out.iterdir()) == ["index.json", "utt0.json", "utt1.json", "utt2.json"]
+
+    def test_every_file_is_written_as_bytes(self, tmp_path, manifest, monkeypatch):
+        kinds, write = [], cli._atomic_write
+
+        def recording(path, data):
+            kinds.append(type(data))
+            write(path, data)
+
+        monkeypatch.setattr(cli, "_atomic_write", recording)
+        weights_path = tmp_path / "w.agvw"
+        argvs = [
+            ["init", "--channels", "16", "--dmodel", "8", "--tokens", "2", "--heads", "2", "--out", weights_path],
+            ["embed", manifest, "--weights", weights_path, "--out", tmp_path / "json"],
+            ["embed", manifest, "--weights", weights_path, "--out", tmp_path / "bin", "--format", "bin"],
+            ["simmatrix", tmp_path / "json" / "index.json", "--out", tmp_path / "sim"],
+        ]
+        for argv in argvs:
+            assert main([str(a) for a in argv]) == 0
+        # the weight file, 3 embeddings and an index per format, the CSV and the PGM
+        assert kinds == [bytes] * (1 + 4 + 4 + 2)
 
 
 def test_selftest_passes(capsys):

@@ -172,18 +172,26 @@ class TestAbxSelect:
 class TestExports:
     def test_csv_layout(self):
         m = SimilarityMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]), ["r1", "r2"], ["c1", "c2"])
-        lines = matrix_to_csv(m).strip().split("\n")
-        assert lines[0] == ",c1,c2"
-        assert lines[1].startswith("r1,1,")
+        lines = matrix_to_csv(m).strip().split(b"\n")
+        assert lines[0] == b",c1,c2"
+        assert lines[1].startswith(b"r1,1,")
 
     def test_csv_quotes_only_labels_that_need_it(self):
         labels = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\r"]
         m = SimilarityMatrix(np.eye(5), labels, labels)
-        text = matrix_to_csv(m)
-        assert text.startswith(',plain,"a,b","say ""hi""","two\nlines","cr\r"\n')
-        rows = list(csv.reader(io.StringIO(text, newline="")))
+        blob = matrix_to_csv(m)
+        assert blob.startswith(b',plain,"a,b","say ""hi""","two\nlines","cr\r"\n')
+        rows = list(csv.reader(io.StringIO(blob.decode("utf-8"), newline="")))
         assert rows[0] == ["", *labels]
         assert [row[0] for row in rows[1:]] == labels
+
+    def test_csv_is_utf8_bytes(self, rng):
+        # every byte of a label is kept, a NUL too: only the cells are built with NUL padding
+        labels = ["ü0", "日本", "a,b", "n\0l"]
+        fields = ["ü0", "日本", '"a,b"', "n\0l"]
+        values = rng.uniform(-1.0, 1.0, (4, 4))
+        text = "," + ",".join(fields) + "\n" + "".join(f + loop_csv_row(row) + "\n" for f, row in zip(fields, values))
+        assert matrix_to_csv(SimilarityMatrix(values, labels, labels)) == text.encode("utf-8")
 
     def test_pgm_header_and_mapping(self):
         m = SimilarityMatrix(np.array([[-1.0, 0.0], [1.0, 0.5]]), ["a", "b"], ["a", "b"])
@@ -200,15 +208,15 @@ def oracle_csv(values):
 
 
 def csv_mismatch(values):
-    """None if matrix_to_csv of `values` (integer labels) is the oracle's text, else its first differing cell
-    as (line, field, got, want): a short message where a failed == on 13 MB of text would diff for minutes."""
+    """None if matrix_to_csv of `values` (integer labels) is the oracle's text as UTF-8, else its first differing
+    cell as (line, field, got, want): a short message where a failed == on 13 MB of text would diff for minutes."""
     values = np.asarray(values, dtype=np.float64)
     got = matrix_to_csv(SimilarityMatrix(values, list(range(values.shape[0])), list(range(values.shape[1]))))
-    want = oracle_csv(values)
+    want = oracle_csv(values).encode("utf-8")
     if got == want:
         return None
-    for i, (got_line, want_line) in enumerate(zip(got.split("\n"), want.split("\n"))):
-        for j, (g, w) in enumerate(itertools.zip_longest(got_line.split(","), want_line.split(","))):
+    for i, (got_line, want_line) in enumerate(zip(got.split(b"\n"), want.split(b"\n"))):
+        for j, (g, w) in enumerate(itertools.zip_longest(got_line.split(b","), want_line.split(b","))):
             if g != w:
                 return i, j, g, w
     return "line counts differ"
