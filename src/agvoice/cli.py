@@ -38,9 +38,13 @@ FORMATS = {
 # `embed` writes its index beside the embeddings under this name.
 INDEX_FILE = "index.json"
 try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _libc = ctypes.CDLL(None)
+    _malloc_trim, _mallopt = _libc.malloc_trim, _libc.mallopt
+    _malloc_trim.argtypes, _malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
 except (AttributeError, OSError, TypeError):  # not glibc
-    _malloc_trim = None
+    _malloc_trim = _mallopt = None
+M_ARENA_MAX = -8  # glibc's mallopt parameter number
 
 # `init`'s config flags: config field -> (flag, argparse options). A field
 # without a flag, and a flag left out, keeps the dataclass default. Every
@@ -170,7 +174,7 @@ def cmd_inspect(args):
     store = weights.load(args.weights)
     print("seed=%s config_digest=%s" % (store.meta.get("seed"), store.meta.get("config_digest")))
     for name in store.names():
-        t = store.entries[name]
+        t = store.entries[name].astype(np.float64)  # the statistics of the float64 values the kernels see
         print(
             "%-44s %-14s min=%+.6g max=%+.6g mean=%+.6g"
             % (name, "x".join(map(str, t.shape)), t.min(), t.max(), t.mean())
@@ -221,11 +225,15 @@ def cmd_embed(args):
                 _malloc_trim(0)
         return None
 
+    # Pool threads allocate from glibc's main heap, which malloc_trim hands
+    # back whole; a thread's own heap keeps its freed top resident. Two 60 s
+    # clips at C=512 peaked at 185 MB in a thread heap, moving by 15 MB with
+    # the order of unrelated allocations, and at 159 MB in the main heap.
+    # It must be set before the pool's threads first allocate.
+    if _mallopt is not None:
+        _mallopt(M_ARENA_MAX, 1)
     # One outcome per manifest line, in order. A raised failure stops the loop,
-    # and Executor.map cancels every job that has not started. One worker runs
-    # in a pool thread too: on two 60 s clips at C=512 that peaks at 184 MB RSS
-    # in every run, where the main thread's heap kept 179 or 199 MB depending
-    # on how earlier allocations fell (at 300 s: 603 MB against 594).
+    # and Executor.map cancels every job that has not started.
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         outcomes = list(pool.map(one, records))
     entries = [
@@ -261,12 +269,14 @@ def cmd_f0(args):
 
 
 def _read_embedding_file(path):
-    """The embedding in a file, in the format its extension names (binary for any other), checked finite."""
+    """The embedding in a file, in the format its extension names (binary for any other), checked non-empty and finite."""
     read = next((read for ext, _, read in FORMATS.values() if path.endswith(ext)), FORMATS["bin"][2])
     try:
         emb = read(_read_bytes(path))
     except (ShapeMismatch, ValueError, KeyError, TypeError) as e:
         raise InputError("bad embedding file %s: %s" % (path, e)) from None
+    if len(emb.vector) < 1:
+        raise InputError("embedding file %s holds no values (d=0)" % path)
     if not np.isfinite(emb.vector).all():
         raise InputError("embedding file %s holds non-finite values" % path)
     if not isinstance(emb.config_hash, str):

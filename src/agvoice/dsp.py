@@ -131,12 +131,16 @@ def _difference_function(frames: np.ndarray, tau_max: int) -> np.ndarray:
     """d(tau) = sum_j (x[j] - x[j+tau])^2 over the in-frame overlap, tau in [0, tau_max].
 
     Works along the last axis, so it takes one frame or a block of frames.
+    The ACF is a transform of n = w + tau_max points. Its circular wrap
+    adds lag tau - n to lag tau, and for tau <= tau_max that lag is at
+    most -w, past any overlap of a w-sample frame: every kept lag is linear.
     """
     w = frames.shape[-1]
     sq = np.cumsum(frames * frames, axis=-1)
     sq = np.concatenate([np.zeros_like(sq[..., :1]), sq], axis=-1)
-    spec = np.fft.rfft(frames, 2 * w)  # zero-padded to 2w, so the ACF is linear, not circular
-    acf = np.fft.irfft(spec * np.conj(spec))[..., : tau_max + 1]
+    n = w + tau_max
+    spec = np.fft.rfft(frames, n)
+    acf = np.fft.irfft(spec * np.conj(spec), n)[..., : tau_max + 1]
     taus = np.arange(tau_max + 1)
     head = sq[..., w - taus]                   # energy of x[0 .. w-tau-1]
     tail = sq[..., w : w + 1] - sq[..., taus]  # energy of x[tau .. w-1]

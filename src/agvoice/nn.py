@@ -1,10 +1,13 @@
 """Dense kernels the backbone and aggregation stages are built from.
 
-Everything is float64, pure, and deterministic. The dense attention
-kernel returns its Tq x Tk softmax weights with the output
-(AttentionTrace), so the analytic backward does not have to recompute
-them. Only this dense kernel keeps weights: the aggregation levels call
-it on blocks of query rows and keep just the output. The weights are
+Every kernel computes in float64 and is pure and deterministic. Loaded
+parameters are float32; numpy converts them exactly wherever they meet
+a float64 operand, and `affine` casts its input, so two parameters (the
+token bank through the fusion projections) also meet in float64. The
+dense attention kernel returns its Tq x Tk softmax weights with the
+output (AttentionTrace), so the analytic backward does not have to
+recompute them. Only this dense kernel keeps weights: the aggregation
+levels call it on blocks of query rows and keep just the output. The weights are
 built by `exp_scores` in the one Tq x Tk array the score product
 returns, so a call holds one such array, not the five a composed
 softmax makes; the last aggregation level uses `exp_scores` alone.
@@ -62,7 +65,7 @@ def sigmoid(x):
 
 def affine(x, w, b):
     """y = x @ w + b for x: T x in, w: in x out, b: out."""
-    x, w, b = np.asarray(x), np.asarray(w), np.asarray(b)
+    x, w, b = np.asarray(x, dtype=np.float64), np.asarray(w), np.asarray(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeMismatch("affine: %s @ %s + %s" % (x.shape, w.shape, b.shape))
     y = x @ w

@@ -1,8 +1,10 @@
 """Seeded parameter initialization and the AGVW weight-file format.
 
 Every draw is keyed by (seed, sha256(name)), so the set of tensors or
-their creation order never changes the values of the others. Compute is
-float64 in memory; files store float32 payloads bit-exactly.
+their creation order never changes the values of the others. Files
+store float32 payloads bit-exactly. A loaded store is float32 views of
+the file's bytes; float32 converts to float64 exactly, so the float64
+kernels compute from it what they would from a float64 copy.
 """
 
 import hashlib
@@ -206,7 +208,11 @@ def save(store: ParamStore, sink):
 
 
 def load(source) -> ParamStore:
-    """Read an AGVW0001 file; validates sizes before building any tensor."""
+    """Read an AGVW0001 file; validates sizes before building any tensor.
+
+    Each tensor is a read-only float32 view into the one bytes object read,
+    so the file is held once and nothing is converted.
+    """
     if hasattr(source, "read"):
         data = source.read()
     else:
@@ -240,19 +246,19 @@ def load(source) -> ParamStore:
     counts = [math.prod(shape) for _, shape in tensors]  # exact: a huge shape cannot wrap to a small count
     declared = 4 * sum(counts)
     _check_keys("header", header, {**HEADER, "payload_bytes": declared}, ("meta", "tensors"))
-    payload = data[12 + hlen :]
-    if len(payload) < declared:
-        raise TruncatedPayload("payload is %d bytes, expected %d" % (len(payload), declared))
-    if len(payload) > declared:
-        raise HeaderMismatch("payload is %d bytes, expected %d" % (len(payload), declared))
-
-    if not np.isfinite(np.frombuffer(payload, dtype="<f4")).all():
-        raise InvalidConfig("weight file holds non-finite values")
+    payload_bytes = len(data) - (12 + hlen)
+    if payload_bytes < declared:
+        raise TruncatedPayload("payload is %d bytes, expected %d" % (payload_bytes, declared))
+    if payload_bytes > declared:
+        raise HeaderMismatch("payload is %d bytes, expected %d" % (payload_bytes, declared))
 
     entries = {}
-    pos = 0
+    pos = 12 + hlen
     for (name, shape), count in zip(tensors, counts):
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=pos).astype(np.float64)
+        arr = np.frombuffer(data, dtype="<f4", count=count, offset=pos)
+        # min and max are NaN or infinite if any value is, and need no mask array
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            raise InvalidConfig("weight file holds non-finite values in %s" % name)
         entries[name] = arr.reshape(shape)
         pos += 4 * count
     return ParamStore(entries, header["meta"])

@@ -359,7 +359,8 @@ class TestEmbed:
         common = ["--mode", "se", "--channels", "16", "--dmodel", "8", "--tokens", "2", "--heads", "2"]
         assert main(["init", *common, "--out", str(path)]) == 0
         store = weights.load(path)
-        store.entries["backbone.proj_pooled.weight"][:] = 3e38
+        name = "backbone.proj_pooled.weight"
+        store.entries[name] = np.full(store.entries[name].shape, 3e38)  # a loaded tensor is a read-only view
         weights.save(store, path)
         out = tmp_path / "huge"
         capsys.readouterr()
@@ -757,6 +758,22 @@ class TestSimmatrixAbx:
         assert main(argv) == 2
         assert one_line(capsys.readouterr().err, "error: ")
         assert not (index_dir / "sim.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simmatrix", "index.json", "--out", "sim"], ["abx", "--reference", "a1.emb", "a1.emb", "b1.emb"]],
+        ids=["simmatrix", "abx"],
+    )
+    def test_zero_length_embedding_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        # a 12-byte .emb holds d=0 and no values; with the index's d=0 it used to crash the scoring
+        empty = aggregation.embedding_to_bytes(aggregation.SpeakerEmbedding(np.zeros(0), "SE", ""))
+        self.write_emb_index(tmp_path / "emb", lambda uid, blob: empty, d=0)
+        monkeypatch.chdir(tmp_path / "emb")
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert one_line(err, "error: ") and "a1.emb" in err
+        assert not (tmp_path / "emb" / "sim.csv").exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,11 +1,13 @@
 import io
+import itertools
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from agvoice.aggregation import AggregationConfig, extract_embedding
+from agvoice.aggregation import MODES, AggregationConfig, extract_embedding
 from agvoice.backbone import BackboneConfig
 from agvoice.errors import (
     BadMagic,
@@ -14,7 +16,7 @@ from agvoice.errors import (
     MissingParameter,
     TruncatedPayload,
 )
-from agvoice.nn import param_group
+from agvoice.nn import SCALE_MODES, param_group
 from agvoice.weights import (
     ParamStore,
     check_params,
@@ -23,7 +25,7 @@ from agvoice.weights import (
     param_shapes,
     save,
 )
-from conftest import sine
+from conftest import sawtooth, sine
 
 
 @pytest.fixture
@@ -146,6 +148,62 @@ class TestSerialization:
         assert back.meta["seed"] == 3
         assert back.meta["config"]["mode"] == "SE_F0_then_ME"
         assert back.meta["config_digest"] == store.meta["config_digest"]
+
+
+def _root(arr):
+    """The object at the end of an array's base chain: the buffer a view reads."""
+    while isinstance(arr, np.ndarray) and arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+class TestZeroCopyLoad:
+    def test_tensors_are_read_only_float32_views_of_one_buffer(self, cfgs):
+        blob = serialized(init_params(*cfgs, seed=3))
+        loaded = load(io.BytesIO(blob))
+        buffers = {id(_root(t)) for t in loaded.entries.values()}
+        assert len(buffers) == 1
+        whole = np.frombuffer(_root(loaded["agg.tokens"]), dtype=np.uint8)
+        assert whole.tobytes() == blob
+        for name, t in loaded.entries.items():
+            assert t.dtype == np.float32, name
+            assert not t.flags.writeable, name
+            assert np.shares_memory(t, whole), name
+
+    @pytest.mark.parametrize(
+        "mode, splitting, scale_mode", list(itertools.product(MODES, (True, False), SCALE_MODES))
+    )
+    def test_embedding_equals_float64_copy_bit_for_bit(self, mode, splitting, scale_mode):
+        # 3.2 s is 272 frames, more than ATTENTION_ROWS, so every attention level runs two blocks of query rows
+        bb = BackboneConfig(channels=16, d_model=8)
+        agg = AggregationConfig(mode=mode, splitting=splitting, scale_mode=scale_mode, n_tokens=2, heads=2, d_model=8)
+        loaded = load(io.BytesIO(serialized(init_params(bb, agg, seed=4))))
+        copy = ParamStore({k: v.astype(np.float64) for k, v in loaded.entries.items()}, loaded.meta)
+        buf = sawtooth(150.0, seconds=3.2)
+        a = extract_embedding(buf, loaded, bb, agg).vector
+        b = extract_embedding(buf, copy, bb, agg).vector
+        assert a.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
+
+    def test_peak_memory_is_about_the_file(self, tmp_path):
+        path = tmp_path / "desk.agvw"
+        path.write_bytes(serialized(init_params(BackboneConfig(), AggregationConfig(), seed=0)))
+        tracemalloc.start()
+        try:
+            store = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(store.entries) > 0
+        assert peak <= 1.1 * path.stat().st_size, (peak, path.stat().st_size)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_named(self, cfgs, value):
+        store = init_params(*cfgs, seed=3)
+        blob = bytearray(serialized(store))
+        blob[-4:] = np.array([value], dtype="<f4").tobytes()  # the last value of the last tensor by name
+        with pytest.raises(InvalidConfig, match="non-finite values in %s" % store.names()[-1]):
+            load(io.BytesIO(bytes(blob)))
 
 
 def test_forward_drift_after_quantization(cfgs):
