@@ -258,6 +258,8 @@ def extract_embedding(buf: AudioBuffer, store, backbone_cfg: BackboneConfig, agg
 
 
 EMBEDDING_MAGIC = b"AGVE0001"
+# The keys of a JSON embedding: embedding_to_json writes these, and embedding_from_json accepts no others.
+JSON_KEYS = ("config_hash", "d", "mode", "values")
 
 
 def embedding_to_json(emb: SpeakerEmbedding) -> str:
@@ -273,7 +275,16 @@ def embedding_to_json(emb: SpeakerEmbedding) -> str:
 
 
 def embedding_from_json(text: str) -> SpeakerEmbedding:
+    """A JSON embedding: an object with exactly JSON_KEYS, whose `mode` and `config_hash` are strings."""
     obj = json.loads(text)
+    if type(obj) is not dict:
+        raise ShapeMismatch("not a JSON object")
+    unknown, missing = sorted(set(obj) - set(JSON_KEYS)), sorted(set(JSON_KEYS) - set(obj))
+    if unknown or missing:
+        raise ShapeMismatch("unknown key %r" % unknown[0] if unknown else "missing key %r" % missing[0])
+    for key in ("mode", "config_hash"):
+        if type(obj[key]) is not str:
+            raise ShapeMismatch("%r is not a string" % key)
     values, d = obj["values"], obj["d"]
     # json gives bool for true/false, so exact types keep them out
     if type(values) is not list or not all(type(v) in (int, float) for v in values):

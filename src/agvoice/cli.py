@@ -85,15 +85,22 @@ def _read_bytes(path):
         raise InputError("cannot read %s: %s" % (path, e.strerror)) from None
 
 
-def _atomic_write(path, data: bytes):
+def _atomic_write(path, data):
     """Write `data` to `path` through a temp file beside it, with the mode a plain open() gives
-    (0o666 less the umask); a failed write names `path`, not the temp file."""
+    (0o666 less the umask); a failed write names `path`, not the temp file.
+
+    `data` is bytes, or a function that writes them to the open binary file:
+    then the file is renamed to `path` only once the function has returned.
+    """
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), "tmp%s" % os.urandom(8).hex())
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as f:
-                f.write(data)
+                if callable(data):
+                    data(f)
+                else:
+                    f.write(data)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -273,14 +280,12 @@ def _read_embedding_file(path):
     read = next((read for ext, _, read in FORMATS.values() if path.endswith(ext)), FORMATS["bin"][2])
     try:
         emb = read(_read_bytes(path))
-    except (ShapeMismatch, ValueError, KeyError, TypeError) as e:
+    except (ShapeMismatch, ValueError) as e:
         raise InputError("bad embedding file %s: %s" % (path, e)) from None
     if len(emb.vector) < 1:
         raise InputError("embedding file %s holds no values (d=0)" % path)
     if not np.isfinite(emb.vector).all():
         raise InputError("embedding file %s holds non-finite values" % path)
-    if not isinstance(emb.config_hash, str):
-        raise InputError("embedding file %s: config_hash is not a string" % path)
     return emb
 
 
@@ -341,8 +346,9 @@ def cmd_simmatrix(args):
     labels = [entry["utterance_id"] for entry in entries]
     matrix = pooled if key else evaluation.cross_similarity(x, x, labels, labels)
     dom = evaluation.diagonal_dominance(pooled)
-    _atomic_write(args.out + ".csv", evaluation.matrix_to_csv(matrix))
-    _atomic_write(args.out + ".pgm", evaluation.matrix_to_pgm(matrix))
+    # each file is formatted block by block into its temp file: no copy of its bytes is held whole
+    _atomic_write(args.out + ".csv", lambda f: evaluation.matrix_to_csv(matrix, f))
+    _atomic_write(args.out + ".pgm", lambda f: evaluation.matrix_to_pgm(matrix, f))
     print("diagonal_dominance %.6g" % dom)
     return 0
 

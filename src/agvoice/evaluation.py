@@ -82,8 +82,9 @@ def _csv_field(label) -> str:
     return text
 
 
-# Rows formatted at once: bounds the block's arrays (16 bytes per cell, plus
-# a few float temporaries) to a small fraction of the text.
+# Rows formatted and written at once, in the CSV and the PGM: bounds the block's
+# arrays (16 bytes per cell, plus a few float temporaries) and its text to a
+# small fraction of the file.
 CSV_BLOCK_ROWS = 32
 # Bytes per cell in a block: an 8-byte lead word and two 4-digit words.
 _SLOT = 16
@@ -167,8 +168,9 @@ def _cell_slots(x, tables):
     return slots, slow
 
 
-def matrix_to_csv(m: SimilarityMatrix) -> bytes:
-    """The matrix as UTF-8 CSV: a header of column labels, then one row per row label, each cell "%.9g".
+def matrix_to_csv(m: SimilarityMatrix, f):
+    """Write the matrix to the binary file `f` as UTF-8 CSV: a header of column labels, then one row per
+    row label, each cell "%.9g". Each block of CSV_BLOCK_ROWS rows is written as soon as it is formatted.
 
     Cells with 1e-4 <= |x| < 1, nearly every cosine, are built from table
     words: "%.9g" writes them as [-]0., 0 to 3 zeros and nine digits with
@@ -184,8 +186,7 @@ def matrix_to_csv(m: SimilarityMatrix) -> bytes:
     """
     tables = _csv_tables()
     n = m.values.shape[1]
-    # each line ends in "\n" and the list is joined once: two copies of the text at most
-    lines = [("," + ",".join(_csv_field(c) for c in m.col_labels) + "\n").encode("utf-8")]
+    f.write(("," + ",".join(_csv_field(c) for c in m.col_labels) + "\n").encode("utf-8"))
     for start in range(0, len(m.values), CSV_BLOCK_ROWS):
         block = m.values[start : start + CSV_BLOCK_ROWS]
         x = np.ascontiguousarray(block, dtype=np.float64).ravel()
@@ -197,6 +198,7 @@ def matrix_to_csv(m: SimilarityMatrix) -> bytes:
         labels = m.row_labels[start : start + len(block)]
         bounds = np.searchsorted(at_slow, np.arange(len(labels) + 1) * n).tolist()
         buf = memoryview(slots.reshape(-1).view(np.uint8))
+        lines = []
         for i, label in enumerate(labels):
             at, pieces = i * n * _SLOT, []
             for k in range(bounds[i], bounds[i + 1]):
@@ -205,11 +207,14 @@ def matrix_to_csv(m: SimilarityMatrix) -> bytes:
             pieces += (buf[at : (i + 1) * n * _SLOT], b"\n")
             # a label may hold a NUL, so only the cells go through translate
             lines += (_csv_field(label).encode("utf-8"), b"".join(pieces).translate(None, b"\0"))
-    return b"".join(lines)
+        f.write(b"".join(lines))
 
 
-def matrix_to_pgm(m: SimilarityMatrix) -> bytes:
-    """Binary P5 PGM, [-1, 1] mapped affinely onto [0, 255]."""
+def matrix_to_pgm(m: SimilarityMatrix, f):
+    """Write the matrix to the binary file `f` as a P5 PGM, [-1, 1] mapped affinely onto [0, 255], in
+    blocks of CSV_BLOCK_ROWS rows."""
     h, w = m.values.shape
-    pix = np.clip(np.round((m.values + 1.0) * 127.5), 0, 255).astype(np.uint8)
-    return ("P5\n%d %d\n255\n" % (w, h)).encode() + pix.tobytes()
+    f.write(("P5\n%d %d\n255\n" % (w, h)).encode())
+    for start in range(0, h, CSV_BLOCK_ROWS):
+        block = m.values[start : start + CSV_BLOCK_ROWS]
+        f.write(np.clip(np.round((block + 1.0) * 127.5), 0, 255).astype(np.uint8))

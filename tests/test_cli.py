@@ -1,5 +1,6 @@
 import csv
 import errno
+import io
 import json
 import os
 import stat
@@ -11,10 +12,11 @@ import numpy as np
 import pytest
 
 import agvoice
-from agvoice import aggregation, cli, weights
+from agvoice import aggregation, cli, evaluation, weights
 from agvoice.audio_io import CANONICAL_RATE, decode_wav, resample
 from agvoice.cli import main
 from agvoice.dsp import f0_to_csv, mel_spectrogram, mel_to_csv, yin_f0
+from agvoice.errors import InputError
 from conftest import float32_wav, sine
 
 
@@ -720,6 +722,24 @@ class TestSimmatrixAbx:
         assert main(["abx", "--reference", str(index_dir / "a1.json"), str(index_dir / "a1.json"), str(index_dir / "b1.json")]) == 2
         assert one_line(capsys.readouterr().err, "error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["simmatrix", "index.json", "--out", "sim"], ["abx", "--reference", "a1.json", "a2.json", "b1.json"]],
+        ids=["simmatrix", "abx"],
+    )
+    @pytest.mark.parametrize("fields, key", [({"extra": 1}, "extra"), ({"mode": ["x"]}, "mode")],
+                             ids=["unknown_key", "mode_not_str"])
+    def test_json_embedding_keys_exit_2(self, index_dir, capsys, monkeypatch, argv, fields, key):
+        # a JSON embedding holds exactly the keys embed writes, and its mode is a string
+        emb = {"mode": "SE", "d": 2, "config_hash": "0" * 16, "values": [0.0, 1.0], **fields}
+        (index_dir / "b1.json").write_text(json.dumps(emb))
+        monkeypatch.chdir(index_dir)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert one_line(err, "error: ") and "b1.json" in err and repr(key) in err
+        assert not (index_dir / "sim.csv").exists()
+
     def test_abx_truncated_emb_exit_2(self, tmp_path, capsys):
         self.write_emb_index(tmp_path / "emb", lambda uid, blob: blob[:-3] if uid == "b1" else blob)
         d = tmp_path / "emb"
@@ -855,11 +875,19 @@ class TestFileErrors:
         assert sorted(p.name for p in out.iterdir()) == ["index.json", "utt0.json", "utt1.json", "utt2.json"]
 
     def test_every_file_is_written_as_bytes(self, tmp_path, manifest, monkeypatch):
+        # each write hands over bytes, or a function that is given the temp file open in binary mode
         kinds, write = [], cli._atomic_write
 
         def recording(path, data):
-            kinds.append(type(data))
-            write(path, data)
+            if isinstance(data, bytes):
+                kinds.append(bytes)
+                return write(path, data)
+
+            def content(f):
+                kinds.append(type(f))
+                data(f)
+
+            return write(path, content)
 
         monkeypatch.setattr(cli, "_atomic_write", recording)
         weights_path = tmp_path / "w.agvw"
@@ -871,8 +899,46 @@ class TestFileErrors:
         ]
         for argv in argvs:
             assert main([str(a) for a in argv]) == 0
-        # the weight file, 3 embeddings and an index per format, the CSV and the PGM
-        assert kinds == [bytes] * (1 + 4 + 4 + 2)
+        # the weight file, 3 embeddings and an index per format; the CSV and the PGM are streamed
+        assert kinds == [bytes] * (1 + 4 + 4) + [io.BufferedWriter] * 2
+
+    @staticmethod
+    def fails_after_one_block(error):
+        """A content function that writes a block larger than the file's buffer, so it reaches the temp file, then raises."""
+
+        def content(f):
+            f.write(b"0" * 65536)
+            raise error
+
+        return content
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_target", "existing_target"])
+    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), ValueError("bad block")],
+                             ids=["oserror", "valueerror"])
+    def test_failed_streamed_write_leaves_no_temp_file(self, tmp_path, existing, error):
+        target = tmp_path / "sim.csv"
+        if existing:
+            target.write_bytes(b"old bytes")
+        with pytest.raises(InputError if isinstance(error, OSError) else ValueError) as raised:
+            cli._atomic_write(str(target), self.fails_after_one_block(error))
+        if isinstance(error, OSError):
+            assert str(raised.value) == "cannot write %s: %s" % (target, os.strerror(errno.ENOSPC))
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["sim.csv"] if existing else [])
+        if existing:
+            assert target.read_bytes() == b"old bytes"
+
+    def test_simmatrix_failed_streamed_write_names_the_target(self, tmp_path, capsys, monkeypatch):
+        index = TestSimmatrixAbx.write_emb_index(tmp_path / "emb")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sim.csv").write_bytes(b"old bytes")
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), "tmp0123456789abcdef")
+        monkeypatch.setattr(evaluation, "matrix_to_csv", lambda m, f: self.fails_after_one_block(full)(f))
+        capsys.readouterr()
+        assert main(["simmatrix", str(index), "--out", str(out / "sim")]) == 2
+        assert capsys.readouterr().err == "error: cannot write %s: %s\n" % (out / "sim.csv", os.strerror(errno.ENOSPC))
+        assert sorted(p.name for p in out.iterdir()) == ["sim.csv"]
+        assert (out / "sim.csv").read_bytes() == b"old bytes"
 
 
 def test_selftest_passes(capsys):
