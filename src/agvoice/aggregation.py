@@ -276,7 +276,10 @@ def embedding_to_json(emb: SpeakerEmbedding) -> str:
 
 def embedding_from_json(text: str) -> SpeakerEmbedding:
     """A JSON embedding: an object with exactly JSON_KEYS, whose `mode` and `config_hash` are strings."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ShapeMismatch("JSON nested too deeply") from None
     if type(obj) is not dict:
         raise ShapeMismatch("not a JSON object")
     unknown, missing = sorted(set(obj) - set(JSON_KEYS)), sorted(set(JSON_KEYS) - set(obj))

@@ -132,7 +132,7 @@ def _manifest_record(line, lineno):
     """One manifest line as a record of string fields; `utterance_id` names a file in --out."""
     try:
         rec = json.loads(line)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deeply
         raise InputError("manifest line %d: %s" % (lineno, e)) from None
     if isinstance(rec, dict):
         rec.setdefault("language", "")
@@ -304,7 +304,7 @@ def _load_index_embeddings(index_path):
     """The entries of an index, each checked, and their embeddings as the rows of one matrix."""
     try:
         index = json.loads(_read_bytes(index_path).decode("utf-8"))
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise InputError("cannot read index %s: %s" % (index_path, e)) from None
     if not isinstance(index, dict) or not isinstance(index.get("entries"), list):
         raise InputError("index has no entries list")
@@ -315,17 +315,19 @@ def _load_index_embeddings(index_path):
         raise InputError("index config_hash is not a string")
     entries = [_string_fields(e, ("file", *LABELS), "index entry %d" % i) for i, e in enumerate(index["entries"], 1)]
     base = os.path.dirname(os.path.abspath(index_path))
-    hashes, vecs = [("the index", index_hash)], []
-    for entry in entries:
+    hashes, x = [("the index", index_hash)], None
+    for i, entry in enumerate(entries):
         emb = _read_embedding_file(os.path.join(base, entry["file"]))
         if len(emb.vector) != index["d"]:
             raise DimMismatch("embedding %s has d=%d, index says %d" % (entry["file"], len(emb.vector), index["d"]))
         hashes.append((entry["file"], emb.config_hash))
-        vecs.append(emb.vector)
+        if x is None:  # allocated once a file has matched d: the index's d alone could ask for any amount
+            x = np.empty((len(entries), len(emb.vector)))
+        x[i] = emb.vector
     _one_model(hashes)
-    if len(vecs) < 2:
+    if len(entries) < 2:
         raise InputError("need at least 2 embeddings")
-    return entries, np.array(vecs)
+    return entries, x
 
 
 def _pooled_matrix(entries, x, key):
@@ -344,9 +346,10 @@ def cmd_simmatrix(args):
     # dominance needs one column per group: pool by speaker when not grouped
     pooled = _pooled_matrix(entries, x, key or "speaker_id")
     labels = [entry["utterance_id"] for entry in entries]
-    matrix = pooled if key else evaluation.cross_similarity(x, x, labels, labels)
+    matrix = pooled if key else evaluation.cosine_rows(x, x, labels, labels)
     dom = evaluation.diagonal_dominance(pooled)
-    # each file is formatted block by block into its temp file: no copy of its bytes is held whole
+    # each file is computed and formatted block by block into its temp file: neither the N×N
+    # matrix nor its bytes are held whole
     _atomic_write(args.out + ".csv", lambda f: evaluation.matrix_to_csv(matrix, f))
     _atomic_write(args.out + ".pgm", lambda f: evaluation.matrix_to_pgm(matrix, f))
     print("diagonal_dominance %.6g" % dom)

@@ -14,9 +14,28 @@ from .errors import DimMismatch, LabelMismatch, ZeroNorm
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    values: np.ndarray
+    values: np.ndarray  # or a CosineRows, for a matrix only ever read block by block
     row_labels: list
     col_labels: list
+
+
+class CosineRows:
+    """The rows of the cosine matrix u @ v.T of unit rows u and v, each block computed when sliced:
+    a matrix's `values` in O(N·d) memory, for the writers, which read only `shape`, len and row slices.
+
+    u and v stay separate arrays: given an operand and its own transpose, numpy
+    computes a symmetric product instead, whose cells can differ in the last bit.
+    """
+
+    def __init__(self, u, v):
+        self.u, self.v = u, v
+        self.shape = (len(u), len(v))
+
+    def __len__(self):
+        return len(self.u)
+
+    def __getitem__(self, rows):
+        return self.u[rows] @ self.v.T
 
 
 def _unit_rows(vectors) -> np.ndarray:
@@ -40,16 +59,22 @@ def cosine(a, b) -> float:
     return float(u[0] @ u[1])
 
 
-def cross_similarity(rows, cols, row_labels=None, col_labels=None) -> SimilarityMatrix:
-    """Pairwise cosine matrix between two embedding lists."""
+def cosine_rows(rows, cols, row_labels=None, col_labels=None) -> SimilarityMatrix:
+    """Pairwise cosine matrix between two embedding lists, as CosineRows: no N×N array is made."""
     u, v = _unit_rows(rows), _unit_rows(cols)
     if u.shape[1] != v.shape[1]:
         raise DimMismatch("row dim %d vs column dim %d" % (u.shape[1], v.shape[1]))
     return SimilarityMatrix(
-        u @ v.T,
+        CosineRows(u, v),
         list(row_labels) if row_labels is not None else list(range(len(u))),
         list(col_labels) if col_labels is not None else list(range(len(v))),
     )
+
+
+def cross_similarity(rows, cols, row_labels=None, col_labels=None) -> SimilarityMatrix:
+    """Pairwise cosine matrix between two embedding lists."""
+    m = cosine_rows(rows, cols, row_labels, col_labels)
+    return SimilarityMatrix(m.values[:], m.row_labels, m.col_labels)
 
 
 def diagonal_dominance(m: SimilarityMatrix) -> float:

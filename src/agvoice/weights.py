@@ -227,7 +227,7 @@ def load(source) -> ParamStore:
         raise TruncatedPayload("file ends inside the header")
     try:
         header = json.loads(data[12 : 12 + hlen])
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deeply
         raise HeaderMismatch("unparseable header: %s" % e) from None
     if not isinstance(header, dict) or not isinstance(header.get("meta"), dict):
         raise HeaderMismatch("header has no meta object")

@@ -7,6 +7,7 @@ import stat
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -651,6 +652,27 @@ class TestSimmatrixAbx:
         assert rows[0] == ["", *labels]
         assert [row[0] for row in rows[1:]] == labels
 
+    def test_utterance_matrix_is_never_held_whole(self, tmp_path, capsys):
+        # d=4 so that the N×N float64 matrix (32 MB at N=2000) would dwarf the N×d rows; the rows of the
+        # CSV and PGM are computed block by block as they are written, about 0.35 of it traced in all
+        n, d = 2000, 4
+        (tmp_path / "emb").mkdir()
+        entries = []
+        for i, v in enumerate(np.random.default_rng(3).standard_normal((n, d))):
+            emb = aggregation.SpeakerEmbedding(v, "SE", "")
+            (tmp_path / "emb" / ("u%d.emb" % i)).write_bytes(aggregation.embedding_to_bytes(emb))
+            entries.append({"utterance_id": "u%d" % i, "speaker_id": "s%d" % (i % 20), "language": "xx", "file": "u%d.emb" % i})
+        index = tmp_path / "emb" / "index.json"
+        index.write_text(json.dumps({"config_hash": "", "mode": "SE", "d": d, "format": "bin", "entries": entries}))
+        tracemalloc.start()
+        try:
+            assert main(["simmatrix", str(index), "--out", str(tmp_path / "sim")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "sim.pgm").stat().st_size == len(b"P5\n2000 2000\n255\n") + n * n
+        assert peak < 0.5 * n * n * 8
+
     @staticmethod
     def write_emb_index(directory, edit_blob=lambda uid, blob: blob, **index_fields):
         directory.mkdir()
@@ -676,6 +698,7 @@ class TestSimmatrixAbx:
             (lambda uid, blob: blob, {"entries": None}, None),
             (lambda uid, blob: blob, {"d": None}, None),
             (lambda uid, blob: blob, {"d": "2"}, None),
+            (lambda uid, blob: blob, {"d": 10**12}, None),
             (lambda uid, blob: blob, {"entries": [{"file": "a1.emb"}, {"file": "b1.emb"}]}, None),
             (lambda uid, blob: blob, {"entries": ["a1.emb", "b1.emb"]}, None),
             (lambda uid, blob: aggregation.embedding_to_bytes(
@@ -685,7 +708,7 @@ class TestSimmatrixAbx:
             (lambda uid, blob: blob, {"entries": labelled_entries(speaker_id="a\ud800")}, "speaker"),
             (lambda uid, blob: blob, {"entries": labelled_entries(language="x\udfff")}, "language"),
         ],
-        ids=["truncated_emb", "truncated_emb_header", "no_entries", "no_d", "d_str", "entry_no_ids", "entry_not_object",
+        ids=["truncated_emb", "truncated_emb_header", "no_entries", "no_d", "d_str", "d_huge", "entry_no_ids", "entry_not_object",
              "entry_d_differs", "utterance_id_surrogate", "speaker_id_surrogate", "language_surrogate"],
     )
     def test_bad_index_exit_2(self, tmp_path, capsys, blob_edit, index_fields, group_by):
@@ -822,6 +845,37 @@ class TestSimmatrixAbx:
         assert main(["abx", "--reference", str(tmp_path / "ref.json"), str(tmp_path / "ortho.json"), str(tmp_path / "parallel.json")]) == 0
         out, err = capsys.readouterr()
         assert out == "parallel\n" and err == ""
+
+
+class TestDeeplyNestedJson:
+    """JSON nested deeper than the parser recurses is refused as any unparseable file is, at each of its readers."""
+
+    NESTED = "[" * 200000 + "]" * 200000
+
+    # site -> (argv, exit code, the start of the one stderr line), under a tmp_path prepared by the test
+    SITES = {
+        "embedding": (lambda t, w: ["abx", "--reference", t / "nested.json", t / "emb" / "a1.emb", t / "emb" / "b1.emb"],
+                      2, "error: bad embedding file %s: "),
+        "index": (lambda t, w: ["simmatrix", t / "nested.json", "--out", t / "sim"], 2, "error: cannot read index %s: "),
+        "manifest": (lambda t, w: ["embed", t / "nested.json", "--weights", w, "--out", t / "out"], 2,
+                     "error: manifest line 1: "),
+        "weights": (lambda t, w: ["embed", t / "manifest.jsonl", "--weights", t / "nested.agvw", "--out", t / "out"], 3,
+                    "config error: unparseable header: "),
+    }
+
+    @pytest.mark.parametrize("site", list(SITES))
+    def test_refused_without_a_traceback(self, tmp_path, weights_file, capsys, site):
+        TestSimmatrixAbx.write_emb_index(tmp_path / "emb")
+        (tmp_path / "nested.json").write_text(self.NESTED)
+        header = self.NESTED.encode()
+        (tmp_path / "nested.agvw").write_bytes(weights.WEIGHTS_MAGIC + struct.pack("<I", len(header)) + header)
+        (tmp_path / "manifest.jsonl").write_text(json.dumps({"path": "a.wav", "utterance_id": "a", "speaker_id": "s"}) + "\n")
+        argv, code, prefix = self.SITES[site]
+        capsys.readouterr()
+        assert main([str(a) for a in argv(tmp_path, weights_file)]) == code
+        err = capsys.readouterr().err
+        assert one_line(err, prefix.replace("%s", str(tmp_path / "nested.json"))), err[:300]
+        assert not (tmp_path / "out").exists() and not (tmp_path / "sim.csv").exists()
 
 
 class TestFileErrors:

@@ -13,6 +13,7 @@ from agvoice.evaluation import (
     SimilarityMatrix,
     abx_select,
     cosine,
+    cosine_rows,
     cross_similarity,
     diagonal_dominance,
     matrix_to_csv,
@@ -212,6 +213,28 @@ class TestExports:
         values = rng.uniform(-1.2, 1.2, (2 * CSV_BLOCK_ROWS + 1, 3))
         pixels = np.clip(np.round((values + 1.0) * 127.5), 0, 255).astype(np.uint8)
         assert written(matrix_to_pgm, SimilarityMatrix(values, [], [])) == b"P5\n3 65\n255\n" + pixels.tobytes()
+
+
+class TestCosineRows:
+    """cosine_rows computes each block of rows as the writers slice it; its files match the dense matrix's."""
+
+    @pytest.mark.parametrize("n", [2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1])
+    def test_streamed_files_match_the_dense_matrix(self, rng, n):
+        x = rng.standard_normal((n, 6))
+        labels = ["u%d" % i for i in range(n - 1)] + ['last,"one"']
+        dense = cross_similarity(x, x, labels, labels)
+        streamed = cosine_rows(x, x, labels, labels)
+        assert streamed.values.shape == (n, n) and len(streamed.values) == n
+        rows = list(csv.reader(io.StringIO(written(matrix_to_csv, streamed).decode("utf-8"), newline="")))
+        assert rows[0] == ["", *labels]
+        assert [row[0] for row in rows[1:]] == labels
+        cells = np.array([[float(c) for c in row[1:]] for row in rows[1:]])
+        assert cells.shape == (n, n) and np.max(np.abs(cells - dense.values)) <= 1e-9
+        header = b"P5\n%d %d\n255\n" % (n, n)
+        got, want = written(matrix_to_pgm, streamed), written(matrix_to_pgm, dense)
+        assert got.startswith(header) and len(got) == len(want)
+        pixels = np.frombuffer(got[len(header) :], np.uint8).astype(int)
+        assert np.max(np.abs(pixels - np.frombuffer(want[len(header) :], np.uint8))) <= 1
 
 
 def oracle_csv(values):
