@@ -235,6 +235,7 @@ def aggregate(h_sv, z, mel, contour, params, cfg: AggregationConfig):
         h = level1_attention(h_sv, prompt, p1, sm, pooled=True)
     else:
         h = level1_attention(h_sv, prompt, p1, sm)
+        del prompt  # level 2 has its own cue
         h = level2_attention(_encode(cues[1], mel, contour, params), h, param_group(params, "level2"), sm)
     pooled = h.mean(axis=0)
     if cfg.splitting:
@@ -246,12 +247,15 @@ def extract_embedding(buf: AudioBuffer, store, backbone_cfg: BackboneConfig, agg
     """Raw audio -> speaker embedding for the configured mode.
 
     The buffer is resampled to CANONICAL_RATE if it is not already there.
-    `store` is a ParamStore (weights module).
+    `store` is a ParamStore (weights module). The samples are dropped once
+    the mel and F0 views are made, so the backbone runs without them unless
+    the caller holds the buffer.
     """
     if buf.sample_rate_hz != CANONICAL_RATE:
         buf = resample(buf, CANONICAL_RATE)
     mel = mel_spectrogram(buf)
     contour = yin_f0(buf) if "f0" in agg_cfg.cues else None
+    del buf
     bb = backbone_forward(mel, param_group(store.entries, "backbone"))
     vec = aggregate(bb.frame_states, bb.pooled, mel, contour, param_group(store.entries, "agg"), agg_cfg)
     return SpeakerEmbedding(vec, agg_cfg.mode, config_hash(backbone_cfg, agg_cfg))

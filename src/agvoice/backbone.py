@@ -12,7 +12,7 @@ import numpy as np
 
 from .dsp import MelSpectrogram
 from .errors import IndivisibleScale, InvalidConfig
-from .nn import affine, conv1d, param_group, relu, sigmoid
+from .nn import affine, conv1d, param_group, relu, row_blocks, sigmoid
 
 
 def require_positive_int(name, value):
@@ -64,7 +64,9 @@ def res2_block(x, dilation, params):
     passes through, each later group goes through a dilated k=3 conv (and
     ReLU) of itself plus the previous group's output. Each group's output
     overwrites its own slice of the input conv's output, which so becomes
-    the groups' concatenation without a copy.
+    the groups' concatenation without a copy; the output conv then
+    overwrites it one row block at a time. With the input x, one more
+    T x C array is live.
     """
     x = np.asarray(x)
     c = x.shape[1]
@@ -74,8 +76,11 @@ def res2_block(x, dilation, params):
     h = affine(x, params["conv_in.weight"], params["conv_in.bias"])
     for i in range(1, RES2_SCALE):
         gi = h[:, i * g : (i + 1) * g]
-        np.maximum(conv1d(gi + h[:, (i - 1) * g : i * g], params["group%d.kernels" % (i + 1)], dilation), 0.0, out=gi)
-    h = affine(h, params["conv_out.weight"], params["conv_out.bias"])
+        gi += h[:, (i - 1) * g : i * g]
+        np.maximum(conv1d(gi, params["group%d.kernels" % (i + 1)], dilation), 0.0, out=gi)
+    w = np.asarray(params["conv_out.weight"], dtype=np.float64)  # cast once, not per block
+    for s in row_blocks(len(h)):
+        h[s] = affine(h[s], w, params["conv_out.bias"])
     h *= se_gate(h, param_group(params, "se"))
     h += x
     return h
@@ -105,18 +110,22 @@ def backbone_forward(mel: MelSpectrogram, params) -> BackboneOutput:
 
     The multi-layer feature aggregation is a 1x1 conv over the three block
     outputs side by side; it is summed block by block, each block output
-    times its C rows of the weight, so at most four T x C arrays are live.
+    times its C rows of the weight, added into the sum one row block at a
+    time. So at most three T x C arrays are live: the sum, a block's input
+    and the Res2 block's work array.
     """
     x = affine(mel.frames, params["conv_in.weight"], params["conv_in.bias"])
     np.maximum(x, 0.0, out=x)
-    w = params["mfa.weight"]
     c = x.shape[1]
     for i, dil in enumerate(DILATIONS):
         x = res2_block(x, dil, param_group(params, "block%d" % (i + 1)))
+        w = np.asarray(params["mfa.weight"][i * c : (i + 1) * c], dtype=np.float64)
         if i == 0:
-            agg = x @ w[:c]
+            agg = x @ w
         else:
-            agg += x @ w[i * c : (i + 1) * c]
+            for s in row_blocks(len(x)):
+                agg[s] += x[s] @ w
+        del w  # a C x C cast: not kept through the next block
     del x
     agg += params["mfa.bias"]
     frame_states = affine(agg, params["proj_frames.weight"], params["proj_frames.bias"])

@@ -12,6 +12,7 @@ import numpy as np
 
 from .audio_io import CANONICAL_RATE, AudioBuffer
 from .errors import RateOutOfRange, TooShort
+from .nn import row_blocks
 
 WIN = 1024  # analysis window, also the FFT size
 HOP = 256
@@ -74,11 +75,6 @@ def _periodic_hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft_magnitude(buf: AudioBuffer) -> np.ndarray:
-    """Magnitude STFT: T x (WIN/2 + 1), periodic Hann, no center padding."""
-    return np.abs(np.fft.rfft(_frames(buf) * _periodic_hann(WIN), n=WIN, axis=1))
-
-
 def hz_to_mel(f):
     """Slaney-style mel scale: linear to 1 kHz, logarithmic above."""
     f = np.asarray(f, dtype=np.float64)
@@ -123,8 +119,20 @@ def filter_centers_hz() -> np.ndarray:
 
 
 def mel_spectrogram(buf: AudioBuffer) -> MelSpectrogram:
-    """ln(max(filterbank @ |STFT|, 1e-5)), shape T x N_MELS."""
-    return MelSpectrogram(np.log(np.maximum(stft_magnitude(buf) @ mel_filterbank().T, MEL_FLOOR)))
+    """ln(max(filterbank @ |STFT|, 1e-5)), shape T x N_MELS.
+
+    The magnitude STFT (periodic Hann, no center padding) is made one row
+    block of frames at a time and goes through the filterbank into that
+    block's rows of the output, so a call holds the T x N_MELS output and
+    one block's windowed frames and spectra, not T x WIN of each.
+    """
+    frames = _frames(buf)
+    window, fb = _periodic_hann(WIN), mel_filterbank().T
+    out = np.empty((len(frames), N_MELS))
+    for s in row_blocks(len(frames)):
+        np.matmul(np.abs(np.fft.rfft(frames[s] * window, n=WIN, axis=1)), fb, out=out[s])
+    np.maximum(out, MEL_FLOOR, out=out)
+    return MelSpectrogram(np.log(out, out=out))
 
 
 def _difference_function(frames: np.ndarray, tau_max: int) -> np.ndarray:

@@ -26,6 +26,9 @@ from .errors import (
 )
 
 SCALE_MODES = ("sqrt", "linear")
+# Rows per block of a row-blocked product. A 3 s clip (T = 255 frames) is
+# one block, so short clips run every product whole.
+BLOCK_ROWS = 256
 
 
 class _ParamView(dict):
@@ -48,6 +51,19 @@ def param_group(params, prefix):
 class AttentionTrace:
     output: np.ndarray   # Tq x d
     weights: np.ndarray  # Tq x Tk, rows sum to 1
+
+
+def row_blocks(n, rows=BLOCK_ROWS):
+    """Slices that cover n rows in order, `rows` rows each; a remainder
+    under rows // 2 joins the last block, and n = 0 gives one empty slice.
+
+    OpenBLAS picks its GEMM kernel by shape, and a product of a few rows
+    can round differently from the same rows inside a larger product: no
+    block is shorter than rows // 2 + 1 unless n is, so a blocked product
+    is bit for bit the whole one (checked by the tests at these sizes).
+    """
+    edges = list(range(0, max(n - rows // 2, 1), rows)) + [n]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def relu(x):
@@ -89,8 +105,9 @@ def conv1d(x, kernels, dilation=1):
     xpad = np.zeros((t + 2 * pad, x.shape[1]))
     xpad[pad : pad + t] = x
     out = np.zeros((t, kernels.shape[0]))
+    tap = np.empty_like(out)  # one product buffer for all k taps
     for j in range(k):
-        out += xpad[j * dilation : j * dilation + t] @ kernels[:, :, j].T
+        out += np.matmul(xpad[j * dilation : j * dilation + t], kernels[:, :, j].T, out=tap)
     return out
 
 
@@ -222,13 +239,23 @@ def glu_gated_conv(x, kernels, bias):
 
     kernels: 2C x C x k, bias: 2C. The first C output channels are the
     content half a, the last C the gate half b; output = a * sigmoid(b).
+
+    Runs over row blocks: each block convolves its rows of x plus (k-1)/2
+    halo rows at each end and keeps its own rows, which are those of the
+    whole conv; so only the T x C output grows with T.
     """
-    x = np.asarray(x)
+    x, kernels = np.asarray(x), np.asarray(kernels)
     c = x.shape[1]
-    if kernels.shape[0] != 2 * c or bias.shape != (2 * c,):
+    if kernels.ndim != 3 or kernels.shape[0] != 2 * c or bias.shape != (2 * c,):
         raise ShapeMismatch("glu: kernels %s bias %s for C=%d" % (kernels.shape, bias.shape, c))
-    y = conv1d(x, kernels) + bias
-    return y[:, :c] * sigmoid(y[:, c:])
+    halo = (kernels.shape[2] - 1) // 2
+    out = np.empty((x.shape[0], c))
+    for s in row_blocks(x.shape[0]):
+        lo = max(s.start - halo, 0)
+        y = conv1d(x[lo : s.stop + halo], kernels)[s.start - lo : s.stop - lo]
+        y += bias
+        np.multiply(y[:, :c], sigmoid(y[:, c:]), out=out[s])
+    return out
 
 
 @dataclass(frozen=True)

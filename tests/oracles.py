@@ -296,6 +296,14 @@ def brute_yin_frame(frame, sr=22050, fmin=60.0, fmax=500.0, threshold=0.15):
     return float(np.clip(sr / (tau + shift), fmin, fmax)), True, achieved
 
 
+def stft_magnitude(samples, win=1024, hop=256):
+    """Whole-array magnitude STFT of every full frame: T x (win/2 + 1), periodic Hann, no center padding."""
+    n_frames = (len(samples) - win) // hop + 1
+    frames = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop][:n_frames]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
+    return np.abs(np.fft.rfft(frames * window, n=win, axis=1))
+
+
 def brute_log_mel(samples, n_mels=80, n_fft=1024, win=1024, hop=256, sr=22050):
     n_frames = (len(samples) - win) // hop + 1
     window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(win) / win)

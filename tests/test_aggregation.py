@@ -1,8 +1,10 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from agvoice import aggregation
 from agvoice.aggregation import (
     ATTENTION_ROWS as ROWS,
     MODES,
@@ -335,6 +337,50 @@ class TestExtractEmbedding:
         emb = extract_embedding(buf, store, bb_cfg, agg)
         ref = reference_embedding(buf.samples, store.entries, agg)
         assert np.max(np.abs(emb.vector - ref)) < 1e-8
+
+    def test_resampled_samples_dropped_before_the_backbone(self, setup, monkeypatch):
+        # A caller's frame may hold its own argument until the call returns
+        # (Python 3.10 does), but a resampled buffer has no owner outside
+        # extract_embedding, so it is gone once mel and F0 are made.
+        _, bb_cfg, get = setup
+        agg, store = get("SE_F0_then_ME")
+        made, gone = [], []
+        resample, backbone = aggregation.resample, aggregation.backbone_forward
+
+        def traced_resample(buf, rate):
+            out = resample(buf, rate)
+            made.append(weakref.ref(out.samples))
+            return out
+
+        def traced_backbone(mel, params):
+            gone.append(made[0]() is None)
+            return backbone(mel, params)
+
+        monkeypatch.setattr(aggregation, "resample", traced_resample)
+        monkeypatch.setattr(aggregation, "backbone_forward", traced_backbone)
+        extract_embedding(sine(220.0, seconds=0.5, sr=16000), store, bb_cfg, agg)
+        assert gone == [True]
+
+    @pytest.mark.parametrize("mode", ["SE_F0_then_ME", "SE_ME_then_F0"])
+    def test_level1_prompt_dropped_before_level2(self, setup, monkeypatch, mode):
+        buf, bb_cfg, get = setup
+        agg, store = get(mode)
+        prompts, gone = [], []
+        encode, level2 = aggregation._encode, aggregation.level2_attention
+
+        def traced_encode(*args):
+            out = encode(*args)
+            prompts.append(weakref.ref(out))
+            return out
+
+        def traced_level2(*args):
+            gone.append(prompts[0]() is None)
+            return level2(*args)
+
+        monkeypatch.setattr(aggregation, "_encode", traced_encode)
+        monkeypatch.setattr(aggregation, "level2_attention", traced_level2)
+        extract_embedding(buf, store, bb_cfg, agg)
+        assert gone == [True]
 
     def test_config_hash_distinguishes_modes(self, desk_backbone_cfg):
         hashes = {

@@ -5,7 +5,9 @@ import pytest
 
 from agvoice.audio_io import AudioBuffer
 from agvoice.dsp import (
+    HOP,
     MEL_FLOOR,
+    WIN,
     YIN_FRAMES,
     f0_to_csv,
     filter_centers_hz,
@@ -13,10 +15,10 @@ from agvoice.dsp import (
     mel_filterbank,
     mel_spectrogram,
     mel_to_csv,
-    stft_magnitude,
     yin_f0,
 )
 from agvoice.errors import RateOutOfRange, TooShort
+from agvoice.nn import BLOCK_ROWS
 from conftest import SR, sawtooth, sine
 from oracles import (
     brute_cmnd,
@@ -24,27 +26,29 @@ from oracles import (
     brute_yin_frame,
     dft_magnitude_frame,
     mel_center_frequencies,
+    stft_magnitude,
 )
 
 
 class TestStft:
     def test_tone_at_bin_center(self):
         freq = 48 * SR / 1024
-        mag = stft_magnitude(sine(freq))
+        mag = stft_magnitude(sine(freq).samples)
         assert (np.argmax(mag, axis=1) == 48).all()
 
     def test_zero_input_framing(self):
-        mag = stft_magnitude(AudioBuffer(np.zeros(4096), SR))
+        mag = stft_magnitude(np.zeros(4096))
         assert mag.shape == (13, 513)
         assert not mag.any()
 
     def test_too_short(self):
+        # the front end frames the buffer itself and refuses one short of a window
         with pytest.raises(TooShort):
-            stft_magnitude(AudioBuffer(np.zeros(1023), SR))
+            mel_spectrogram(AudioBuffer(np.zeros(1023), SR))
 
     def test_white_noise_frame_matches_direct_dft(self, rng):
         x = rng.standard_normal(1024)
-        mag = stft_magnitude(AudioBuffer(np.concatenate([x, np.zeros(0)]), SR))[0]
+        mag = stft_magnitude(x)[0]
         window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(1024) / 1024)
         ref = dft_magnitude_frame(x * window)
         assert np.max(np.abs(mag - ref) / np.maximum(ref, 1e-12)) < 1e-6
@@ -68,7 +72,7 @@ class TestFilterbank:
         assert (np.diff(centers) > 0).all()
 
     def test_tone_lands_in_nearest_band(self):
-        mag = stft_magnitude(sine(1000.0))
+        mag = stft_magnitude(sine(1000.0).samples)
         mel = mel_filterbank() @ mag.mean(axis=0)
         centers = mel_center_frequencies()
         expected = int(np.argmin([abs(c - 1000.0) for c in centers]))
@@ -95,6 +99,31 @@ class TestMelSpectrogram:
     def test_frame_arithmetic(self):
         mel = mel_spectrogram(AudioBuffer(np.random.default_rng(0).standard_normal(4096) * 0.1, SR))
         assert mel.frames.shape == (13, 80)
+
+    # BLOCK_ROWS + 1 frames are one block (a short remainder joins the last
+    # block); BLOCK_ROWS + BLOCK_ROWS // 2 + 1 splits off the shortest block
+    @pytest.mark.parametrize(
+        "t", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + BLOCK_ROWS // 2 + 1, 2 * BLOCK_ROWS + 1]
+    )
+    def test_blocked_is_the_whole_array_formula(self, rng, t):
+        # bit for bit: each row block of frames goes through the same rfft and filterbank product
+        x = 0.1 * rng.standard_normal(WIN + HOP * (t - 1) + 100)
+        mel = mel_spectrogram(AudioBuffer(x, SR)).frames
+        whole = np.log(np.maximum(stft_magnitude(x) @ mel_filterbank().T, MEL_FLOOR))
+        assert mel.shape == (t, 80)
+        assert np.array_equal(mel, whole)
+
+    def test_peak_memory_is_the_output_and_one_block(self):
+        # a block's windowed frames and spectra beside the T x 80 output; the
+        # whole-array STFT held T x WIN of each (~80 MB at 60 s)
+        buf = sawtooth(110.0, seconds=60.0)
+        tracemalloc.start()
+        try:
+            mel = mel_spectrogram(buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mel.frames.nbytes + 8 * 2**20
 
 
 class TestYin:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,16 @@ from agvoice.errors import (
     ShapeMismatch,
 )
 from agvoice.nn import (
+    BLOCK_ROWS,
     affine,
     attention_backward,
     conv1d,
     glu_gated_conv,
     gradcheck,
     multi_head_attention,
+    row_blocks,
     scaled_dot_attention,
+    sigmoid,
     softmax_rows,
 )
 from oracles import loop_affine, loop_attention, loop_conv1d, loop_glu, loop_mha, loop_softmax_row
@@ -243,6 +248,50 @@ class TestGlu:
         kernels = rng.standard_normal((2 * c, c, 3))
         bias = rng.standard_normal(2 * c)
         assert np.max(np.abs(glu_gated_conv(x, kernels, bias) - loop_glu(x, kernels, bias))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "t", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + BLOCK_ROWS // 2 + 1, 2 * BLOCK_ROWS + 1]
+    )
+    def test_blocked_is_one_whole_conv(self, rng, t):
+        # bit for bit: a block's rows, halo rows included, meet the same
+        # kernels through the same products; d is the model's d_model
+        d = 192
+        x = rng.standard_normal((t, d))
+        kernels = rng.standard_normal((2 * d, d, 3))
+        bias = rng.standard_normal(2 * d)
+        y = conv1d(x, kernels) + bias
+        assert np.array_equal(glu_gated_conv(x, kernels, bias), y[:, :d] * sigmoid(y[:, d:]))
+
+    @pytest.mark.parametrize("t", [0, 5, 2 * BLOCK_ROWS + 1])
+    @pytest.mark.parametrize(
+        "shape, error", [((16, 8, 4), EvenKernel), ((16, 7, 3), ShapeMismatch), ((16, 8), ShapeMismatch)],
+        ids=["even", "c_in", "ndim"],
+    )
+    def test_blocked_keeps_conv_checks(self, rng, t, shape, error):
+        with pytest.raises(error):
+            glu_gated_conv(rng.standard_normal((t, 8)), rng.standard_normal(shape), np.zeros(16))
+
+    def test_peak_memory_below_two_and_a_half_outputs(self, rng):
+        # the T x d output and one block's work; the whole conv held its
+        # padded input, sum, tap product, biased copy and gate (~5 T x d)
+        t, d = 8000, 32
+        x = rng.standard_normal((t, d))
+        kernels, bias = rng.standard_normal((2 * d, d, 3)), rng.standard_normal(2 * d)
+        tracemalloc.start()
+        try:
+            glu_gated_conv(x, kernels, bias)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * t * d * 8
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 128, 129, 384, 385, 1000, 5165])
+    def test_cover_in_order_with_no_short_block(self, n):
+        blocks = row_blocks(n, 256)
+        assert [i for s in blocks for i in range(n)[s]] == list(range(n))
+        assert all(129 <= s.stop - s.start <= 384 for s in blocks) or len(blocks) == 1
 
 
 class TestGradcheck:
