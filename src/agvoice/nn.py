@@ -53,16 +53,18 @@ class AttentionTrace:
     weights: np.ndarray  # Tq x Tk, rows sum to 1
 
 
-def row_blocks(n, rows=BLOCK_ROWS):
-    """Slices that cover n rows in order, `rows` rows each; a remainder
-    under rows // 2 joins the last block, and n = 0 gives one empty slice.
+def row_blocks(n):
+    """Slices that cover n rows in order, BLOCK_ROWS rows each; a remainder
+    under BLOCK_ROWS // 2 joins the last block, and n = 0 gives one empty
+    slice.
 
     OpenBLAS picks its GEMM kernel by shape, and a product of a few rows
     can round differently from the same rows inside a larger product: no
-    block is shorter than rows // 2 + 1 unless n is, so a blocked product
-    is bit for bit the whole one (checked by the tests at these sizes).
+    block is shorter than BLOCK_ROWS // 2 + 1 unless n is, so a blocked
+    product is bit for bit the whole one (checked by the tests at these
+    sizes).
     """
-    edges = list(range(0, max(n - rows // 2, 1), rows)) + [n]
+    edges = list(range(0, max(n - BLOCK_ROWS // 2, 1), BLOCK_ROWS)) + [n]
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 

@@ -289,9 +289,10 @@ class TestGlu:
 class TestRowBlocks:
     @pytest.mark.parametrize("n", [0, 1, 128, 129, 384, 385, 1000, 5165])
     def test_cover_in_order_with_no_short_block(self, n):
-        blocks = row_blocks(n, 256)
+        blocks = row_blocks(n)
         assert [i for s in blocks for i in range(n)[s]] == list(range(n))
-        assert all(129 <= s.stop - s.start <= 384 for s in blocks) or len(blocks) == 1
+        shortest, longest = BLOCK_ROWS // 2 + 1, BLOCK_ROWS + BLOCK_ROWS // 2
+        assert all(shortest <= s.stop - s.start <= longest for s in blocks) or len(blocks) == 1
 
 
 class TestGradcheck:
