@@ -22,14 +22,11 @@ from .errors import EmptyContour, IndivisibleHeads, InvalidConfig, ShapeMismatch
 from .nn import (
     SCALE_MODES,
     affine,
-    attention_backward,
     exp_scores,
     glu_gated_conv,
     multi_head_attention,
-    multi_head_attention_backward,
     param_group,
     project_qkv,
-    project_qkv_backward,
     relu,
     scaled_dot_attention,
 )
@@ -188,16 +185,6 @@ def level2_attention(h_query, h_ca1, params, scale_mode="sqrt"):
     return out
 
 
-def cross_attention_stage_backward(hq, hk, params, d_out, scale_mode="sqrt"):
-    """Gradients of sum(stage_output * d_out) w.r.t. the stage projections."""
-    _check_aligned(hq, hk)
-    xs = (hq, hk, hk)
-    proj = project_qkv(xs, params)
-    trace = scaled_dot_attention(*proj, scale_mode)
-    grads, _ = project_qkv_backward(xs, params, attention_backward(trace, *proj, d_out, scale_mode))
-    return grads
-
-
 def split_and_fuse(pooled, tokens, heads, params):
     """Fuse the aggregate with the learned token bank.
 
@@ -209,13 +196,6 @@ def split_and_fuse(pooled, tokens, heads, params):
         raise ShapeMismatch("tokens %s vs pooled state %s" % (tokens.shape, pooled.shape))
     out, _ = multi_head_attention(pooled[None, :], tokens, tokens, heads, params)
     return out[0]
-
-
-def split_and_fuse_backward(pooled, tokens, heads, params, d_out):
-    """Gradients of sum(fused * d_out) w.r.t. fusion params and tokens."""
-    grads, _dq, dk, dv = multi_head_attention_backward(pooled[None, :], tokens, tokens, heads, params, d_out[None, :])
-    grads["tokens"] = dk + dv
-    return grads
 
 
 def _encode(cue, mel, contour, params):

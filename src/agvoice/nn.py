@@ -5,7 +5,8 @@ parameters are float32; numpy converts them exactly wherever they meet
 a float64 operand, and `affine` casts its input, so two parameters (the
 token bank through the fusion projections) also meet in float64. The
 dense attention kernel returns its Tq x Tk softmax weights with the
-output (AttentionTrace), so the analytic backward does not have to
+output (AttentionTrace), so `attention_backward`, the one backward pass
+(an analytic oracle for `gradcheck`; nothing trains), does not have to
 recompute them. Only this dense kernel keeps weights: the aggregation
 levels call it on blocks of query rows and keep just the output. The weights are
 built by `exp_scores` in the one Tq x Tk array the score product
@@ -172,36 +173,9 @@ def attention_backward(trace: AttentionTrace, q, k, v, d_out, scale_mode="sqrt")
     return d_q, d_k, d_v
 
 
-def affine_backward(x, w, d_y):
-    """Gradients of sum(affine(x, w, b) * d_y) w.r.t. w, b and x."""
-    return x.T @ d_y, d_y.sum(axis=0), d_y @ w.T
-
-
 def project_qkv(xs, params):
     """The wq/bq, wk/bk, wv/bv projections of the (query, key, value) inputs."""
     return [affine(x, params["w" + n], params["b" + n]) for n, x in zip("qkv", xs)]
-
-
-def project_qkv_backward(xs, params, d_proj):
-    """(weight/bias gradients by name, input gradients) of project_qkv."""
-    grads, d_xs = {}, []
-    for n, x, d in zip("qkv", xs, d_proj):
-        grads["w" + n], grads["b" + n], d_x = affine_backward(x, params["w" + n], d)
-        d_xs.append(d_x)
-    return grads, d_xs
-
-
-def _heads(q, k, v, heads, params):
-    """Projected per-head attention: (projections, concatenated head outputs, head traces)."""
-    xs = [np.asarray(a) for a in (q, k, v)]
-    d = xs[0].shape[1]
-    if d % heads:
-        raise IndivisibleHeads("d=%d not divisible by %d heads" % (d, heads))
-    proj = project_qkv(xs, params)
-    hd = d // heads
-    slices = [slice(h * hd, (h + 1) * hd) for h in range(heads)]
-    traces = [scaled_dot_attention(*(p[:, sl] for p in proj), "sqrt") for sl in slices]
-    return xs, proj, slices, np.concatenate([tr.output for tr in traces], axis=1), traces
 
 
 def multi_head_attention(q, k, v, heads, params):
@@ -211,29 +185,17 @@ def multi_head_attention(q, k, v, heads, params):
     wo/bo. Returns (output, head_weights); for a single query row the
     weights come back as heads x Tk.
     """
-    _, _, _, concat, traces = _heads(q, k, v, heads, params)
-    out = affine(concat, params["wo"], params["bo"])
+    d = np.shape(q)[1]
+    if d % heads:
+        raise IndivisibleHeads("d=%d not divisible by %d heads" % (d, heads))
+    proj = project_qkv((q, k, v), params)
+    hd = d // heads
+    traces = [scaled_dot_attention(*(p[:, h * hd : (h + 1) * hd] for p in proj), "sqrt") for h in range(heads)]
+    out = affine(np.concatenate([tr.output for tr in traces], axis=1), params["wo"], params["bo"])
     hw = np.stack([tr.weights for tr in traces])
     if np.shape(q)[0] == 1:
         hw = hw[:, 0, :]
     return out, hw
-
-
-def multi_head_attention_backward(q, k, v, heads, params, d_out):
-    """Gradients of sum(output * d_out) w.r.t. every projection parameter
-    plus the K/V input (K and V may be the same array, e.g. a token bank).
-
-    Returns (param_grads, d_q_in, d_k_in, d_v_in).
-    """
-    xs, proj, slices, concat, traces = _heads(q, k, v, heads, params)
-    d_wo, d_bo, d_concat = affine_backward(concat, params["wo"], np.asarray(d_out))
-    d_proj = [np.zeros_like(p) for p in proj]
-    for sl, tr in zip(slices, traces):
-        for d_p, g in zip(d_proj, attention_backward(tr, *(p[:, sl] for p in proj), d_concat[:, sl], "sqrt")):
-            d_p[:, sl] = g
-    grads, d_xs = project_qkv_backward(xs, params, d_proj)
-    grads.update(wo=d_wo, bo=d_bo)
-    return (grads, *d_xs)
 
 
 def glu_gated_conv(x, kernels, bias):

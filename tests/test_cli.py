@@ -892,6 +892,10 @@ class TestFileErrors:
         "abx_candidate": lambda t, w: (
             ["abx", "--reference", t / "emb" / "a1.emb", t / "emb" / "b1.emb", t / "emb" / "gone.emb"], t / "emb" / "gone.emb"),
         "directory": lambda t, w: (["mel", t / "emb"], t / "emb"),
+        "weights_embed": lambda t, w: (
+            ["embed", t / "gone.jsonl", "--weights", t / "nope.agvw", "--out", t / "out"], t / "nope.agvw"),
+        "weights_inspect": lambda t, w: (["inspect", "--weights", t / "nope.agvw"], t / "nope.agvw"),
+        "weights_selftest": lambda t, w: (["selftest", "--weights", t / "emb"], t / "emb"),
     }
 
     @pytest.mark.parametrize("case", list(READS))
