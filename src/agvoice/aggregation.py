@@ -223,22 +223,36 @@ def aggregate(h_sv, z, mel, contour, params, cfg: AggregationConfig):
     return pooled
 
 
-def extract_embedding(buf: AudioBuffer, store, backbone_cfg: BackboneConfig, agg_cfg: AggregationConfig) -> SpeakerEmbedding:
-    """Raw audio -> speaker embedding for the configured mode.
+def front_end(buf: AudioBuffer, agg_cfg: AggregationConfig):
+    """Raw audio -> (mel frames, F0 contour or None when the mode has no F0 cue).
 
     The buffer is resampled to CANONICAL_RATE if it is not already there.
-    `store` is a ParamStore (weights module). The samples are dropped once
-    the mel and F0 views are made, so the backbone runs without them unless
-    the caller holds the buffer.
+    The model needs nothing else of the samples, so a buffer the caller
+    does not keep is freed when this returns, before the backbone runs.
+    `extract_embedding` cannot promise that where the caller's frame holds
+    a call's arguments until it returns, as Python 3.10's does.
     """
     if buf.sample_rate_hz != CANONICAL_RATE:
         buf = resample(buf, CANONICAL_RATE)
-    mel = mel_spectrogram(buf)
-    contour = yin_f0(buf) if "f0" in agg_cfg.cues else None
-    del buf
+    return mel_spectrogram(buf), (yin_f0(buf) if "f0" in agg_cfg.cues else None)
+
+
+def embed_features(mel, contour, store, backbone_cfg: BackboneConfig, agg_cfg: AggregationConfig) -> SpeakerEmbedding:
+    """The front end's output -> speaker embedding for the configured mode; `store` is a ParamStore (weights module)."""
     bb = backbone_forward(mel, param_group(store.entries, "backbone"))
     vec = aggregate(bb.frame_states, bb.pooled, mel, contour, param_group(store.entries, "agg"), agg_cfg)
     return SpeakerEmbedding(vec, agg_cfg.mode, config_hash(backbone_cfg, agg_cfg))
+
+
+def extract_embedding(buf: AudioBuffer, store, backbone_cfg: BackboneConfig, agg_cfg: AggregationConfig) -> SpeakerEmbedding:
+    """Raw audio -> speaker embedding: `front_end`, then `embed_features`.
+
+    The samples are dropped once the mel and F0 views are made, so the
+    backbone runs without them unless the caller holds the buffer.
+    """
+    mel, contour = front_end(buf, agg_cfg)
+    del buf
+    return embed_features(mel, contour, store, backbone_cfg, agg_cfg)
 
 
 EMBEDDING_MAGIC = b"AGVE0001"

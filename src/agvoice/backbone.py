@@ -65,8 +65,8 @@ def res2_block(x, dilation, params):
     ReLU) of itself plus the previous group's output. Each group's output
     overwrites its own slice of the input conv's output, which so becomes
     the groups' concatenation without a copy; the output conv then
-    overwrites it one row block at a time. With the input x, one more
-    T x C array is live.
+    overwrites it in place, one row block at a time. With the input x, one
+    more T x C array is live.
     """
     x = np.asarray(x)
     c = x.shape[1]
@@ -78,9 +78,7 @@ def res2_block(x, dilation, params):
         gi = h[:, i * g : (i + 1) * g]
         gi += h[:, (i - 1) * g : i * g]
         np.maximum(conv1d(gi, params["group%d.kernels" % (i + 1)], dilation), 0.0, out=gi)
-    w = np.asarray(params["conv_out.weight"], dtype=np.float64)  # cast once, not per block
-    for s in row_blocks(len(h)):
-        h[s] = affine(h[s], w, params["conv_out.bias"])
+    affine(h, params["conv_out.weight"], params["conv_out.bias"], out=h)
     h *= se_gate(h, param_group(params, "se"))
     h += x
     return h
@@ -121,7 +119,7 @@ def backbone_forward(mel: MelSpectrogram, params) -> BackboneOutput:
         x = res2_block(x, dil, param_group(params, "block%d" % (i + 1)))
         w = np.asarray(params["mfa.weight"][i * c : (i + 1) * c], dtype=np.float64)
         if i == 0:
-            agg = x @ w
+            agg = affine(x, w, np.full(c, -0.0))  # y + -0.0 is y bit for bit; mfa.bias comes last
         else:
             for s in row_blocks(len(x)):
                 agg[s] += x[s] @ w

@@ -213,7 +213,10 @@ def cmd_embed(args):
     def one(rec):
         """Write one utterance's file; under --keep-going a failure comes back as its message."""
         try:
-            emb = aggregation.extract_embedding(_read_audio(rec["path"]), store, bb, agg)
+            # the decoded samples are freed when front_end returns, not held
+            # by this frame through the backbone
+            mel, contour = aggregation.front_end(_read_audio(rec["path"]), agg)
+            emb = aggregation.embed_features(mel, contour, store, bb, agg)
             # NaN fails the test too; the files store float32
             if not (np.abs(emb.vector) <= np.finfo(np.float32).max).all():
                 raise ConfigError("embedding of %s is not finite in float32; the weights overflow" % rec["utterance_id"])

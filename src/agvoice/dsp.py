@@ -97,25 +97,15 @@ def mel_to_hz(m):
     return np.where(above, 1000.0 * np.exp(logstep * (m - min_log_mel)), hz)
 
 
-def _mel_edges() -> np.ndarray:
-    """N_MELS + 2 band edges in Hz, evenly spaced on the mel scale."""
-    return mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(FMAX_HZ), N_MELS + 2))
-
-
 def mel_filterbank() -> np.ndarray:
     """N_MELS x (WIN/2+1) triangular filters, area-normalized (Slaney)."""
     n_bins = WIN // 2 + 1
     fft_freqs = np.arange(n_bins) * CANONICAL_RATE / WIN
-    edges = _mel_edges()
+    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(FMAX_HZ), N_MELS + 2))  # evenly spaced in mel
     lo, ctr, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
     up = (fft_freqs - lo) / (ctr - lo)
     down = (hi - fft_freqs) / (hi - ctr)
     return np.maximum(0.0, np.minimum(up, down)) * (2.0 / (hi - lo))
-
-
-def filter_centers_hz() -> np.ndarray:
-    """Center frequency of each mel filter, in Hz."""
-    return _mel_edges()[1:-1]
 
 
 def mel_spectrogram(buf: AudioBuffer) -> MelSpectrogram:

@@ -12,6 +12,13 @@ levels call it on blocks of query rows and keep just the output. The weights are
 built by `exp_scores` in the one Tq x Tk array the score product
 returns, so a call holds one such array, not the five a composed
 softmax makes; the last aggregation level uses `exp_scores` alone.
+
+Every product of a T-row operand by a weight matrix (`affine`, each
+`conv1d` tap) runs one row block at a time (`row_blocks`): OpenBLAS keeps
+its packing buffer resident for the rest of the process, and the part of
+it a product touches grows with the left operand's row count. A
+5164 x 512 by 512 x 512 product left 10.8 MB resident whole and 1.1 MB in
+256-row blocks (one BLAS thread).
 """
 
 from dataclasses import dataclass
@@ -59,11 +66,13 @@ def row_blocks(n):
     under BLOCK_ROWS // 2 joins the last block, and n = 0 gives one empty
     slice.
 
-    OpenBLAS picks its GEMM kernel by shape, and a product of a few rows
-    can round differently from the same rows inside a larger product: no
-    block is shorter than BLOCK_ROWS // 2 + 1 unless n is, so a blocked
-    product is bit for bit the whole one (checked by the tests at these
-    sizes).
+    Every T-row product is blocked, because the part of OpenBLAS's
+    packing buffer that stays resident grows with the row count of the
+    left operand, not with T x C. OpenBLAS picks its GEMM kernel by shape,
+    and a product of a few rows can round differently from the same rows
+    inside a larger product: no block is shorter than BLOCK_ROWS // 2 + 1
+    unless n is, so a blocked product is bit for bit the whole one
+    (checked by the tests at every shape the model uses).
     """
     edges = list(range(0, max(n - BLOCK_ROWS // 2, 1), BLOCK_ROWS)) + [n]
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
@@ -82,13 +91,21 @@ def sigmoid(x):
     return out
 
 
-def affine(x, w, b):
-    """y = x @ w + b for x: T x in, w: in x out, b: out."""
-    x, w, b = np.asarray(x, dtype=np.float64), np.asarray(w), np.asarray(b)
+def affine(x, w, b, out=None):
+    """y = x @ w + b for x: T x in, w: in x out, b: out.
+
+    The product runs one row block at a time into `out`, a new T x out
+    array unless one is given; `out` may be x itself (in == out), since
+    numpy buffers an operand that overlaps its output. A float32 w is
+    cast to float64 once per call.
+    """
+    x, w, b = np.asarray(x, dtype=np.float64), np.asarray(w, dtype=np.float64), np.asarray(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeMismatch("affine: %s @ %s + %s" % (x.shape, w.shape, b.shape))
-    y = x @ w
-    y += b  # in place: one T x out result is live, not two
+    y = np.empty((x.shape[0], w.shape[1])) if out is None else out
+    for s in row_blocks(x.shape[0]):
+        np.matmul(x[s], w, out=y[s])
+        y[s] += b
     return y
 
 
@@ -96,6 +113,10 @@ def conv1d(x, kernels, dilation=1):
     """Same-padded dilated cross-correlation along time.
 
     x: T x C_in, kernels: C_out x C_in x k (k odd), output: T x C_out.
+    Each tap's product runs one row block at a time into one block's
+    buffer, and the taps are added into the output in order. matmul casts
+    a float32 tap per product and frees it; holding all k casts raised a
+    3 s clip's peak RSS by 1.7 MB (the mel encoder's 384 x 192 x 3 GLU).
     """
     x, kernels = np.asarray(x), np.asarray(kernels)
     if x.ndim != 2 or kernels.ndim != 3 or kernels.shape[1] != x.shape[1]:
@@ -108,17 +129,14 @@ def conv1d(x, kernels, dilation=1):
     xpad = np.zeros((t + 2 * pad, x.shape[1]))
     xpad[pad : pad + t] = x
     out = np.zeros((t, kernels.shape[0]))
-    tap = np.empty_like(out)  # one product buffer for all k taps
-    for j in range(k):
-        out += np.matmul(xpad[j * dilation : j * dilation + t], kernels[:, :, j].T, out=tap)
+    blocks = row_blocks(t)
+    tap = np.empty((max(s.stop - s.start for s in blocks), kernels.shape[0]))
+    for s in blocks:
+        n = s.stop - s.start
+        for j in range(k):
+            lo = s.start + j * dilation
+            out[s] += np.matmul(xpad[lo : lo + n], kernels[:, :, j].T, out=tap[:n])
     return out
-
-
-def softmax_rows(x):
-    """Row-wise softmax with max subtraction."""
-    x = np.asarray(x, dtype=np.float64)
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _scale(d, scale_mode):
@@ -133,7 +151,8 @@ def exp_scores(q, k, scale_mode="sqrt"):
     """exp(Q K^T / s - row max): the softmax weights before each row is divided by its sum.
 
     Every step works in place on the one Tq x Tk array of the product,
-    and the values are bit for bit those softmax_rows computes on the way.
+    and the values are bit for bit those a composed max-subtracted softmax
+    computes on the way.
     """
     w = q @ k.T
     w /= _scale(q.shape[1], scale_mode)
@@ -144,7 +163,8 @@ def exp_scores(q, k, scale_mode="sqrt"):
 def scaled_dot_attention(q, k, v, scale_mode="sqrt") -> AttentionTrace:
     """softmax(Q K^T / s) V with s = sqrt(d) or s = d (`linear` mode).
 
-    The weights equal softmax_rows((Q K^T) / s) exactly.
+    The weights equal a composed max-subtracted softmax of (Q K^T) / s
+    exactly.
     """
     q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:

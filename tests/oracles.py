@@ -42,6 +42,13 @@ def loop_conv1d(x, kernels, dilation=1):
     return y
 
 
+def softmax_rows(x):
+    """Row-wise softmax with max subtraction, composed of whole-array steps."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def loop_softmax_row(row):
     """Row softmax at extended precision (long double)."""
     row = np.asarray(row, dtype=np.longdouble)

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -521,6 +522,27 @@ class TestEmbed:
         assert len(written) == 2 * 4 + 2
         modes = {str(p.relative_to(tmp_path)): stat.S_IMODE(p.stat().st_mode) for p in written}
         assert modes == {name: file_mode for name in modes}
+
+    def test_decoded_samples_freed_before_the_backbone(self, tmp_path, weights_file, manifest, monkeypatch):
+        # The worker hands the decoded buffer to the front end alone, so it
+        # is freed before the backbone runs even on a Python whose frames
+        # hold a call's arguments until it returns (3.10 does).
+        made, gone = [], []
+        read, backbone = cli._read_audio, aggregation.backbone_forward
+
+        def traced_read(path):
+            buf = read(path)
+            made.append(weakref.ref(buf.samples))
+            return buf
+
+        def traced_backbone(mel, params):
+            gone.append(made[-1]() is None)
+            return backbone(mel, params)
+
+        monkeypatch.setattr(cli, "_read_audio", traced_read)
+        monkeypatch.setattr(aggregation, "backbone_forward", traced_backbone)
+        assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(tmp_path / "out")]) == 0
+        assert gone == [True, True, True]
 
     def test_binary_format(self, tmp_path, weights_file, manifest):
         out = tmp_path / "bin"

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import agvoice
 from agvoice.errors import (
     EvenKernel,
     IndivisibleHeads,
@@ -20,9 +26,8 @@ from agvoice.nn import (
     row_blocks,
     scaled_dot_attention,
     sigmoid,
-    softmax_rows,
 )
-from oracles import loop_affine, loop_attention, loop_conv1d, loop_glu, loop_mha, loop_softmax_row
+from oracles import loop_affine, loop_attention, loop_conv1d, loop_glu, loop_mha, loop_softmax_row, softmax_rows
 
 
 def mha_params(rng, d):
@@ -32,6 +37,19 @@ def mha_params(rng, d):
     for name in ("bq", "bk", "bv", "bo"):
         p[name] = rng.standard_normal(d) * 0.1
     return p
+
+
+# Row counts around the block edges of row_blocks, and a 60 s clip's T.
+BLOCKED_T = (1, 2, 128, 129, 255, 256, 257, 385, 513, 5164)
+# Every (in, out) a T-row operand meets in the model: paper scale (C=512)
+# and the desk config (C=64), d = 192.
+AFFINE_SHAPES = [
+    (80, 512), (512, 512), (512, 192), (512, 64), (64, 512), (2, 192), (80, 192), (192, 192),
+    (80, 64), (64, 64), (64, 8), (8, 64), (64, 192),
+]
+# (C_out, C_in, k, dilation) of every conv: the Res2 group convs at C=512
+# and C=64, and the mel encoder's GLU.
+CONV_SHAPES = [(64, 64, 3, d) for d in (2, 3, 4)] + [(8, 8, 3, d) for d in (2, 3, 4)] + [(384, 192, 3, 1)]
 
 
 class TestAffine:
@@ -51,6 +69,47 @@ class TestAffine:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeMismatch):
             affine(rng.standard_normal((3, 4)), rng.standard_normal((5, 2)), np.zeros(2))
+
+    @pytest.mark.parametrize("n_in, n_out", AFFINE_SHAPES)
+    def test_blocked_is_one_whole_product(self, rng, n_in, n_out):
+        # bit for bit, with float32 weights as loaded; and in place (out=x)
+        # where the shape allows, as the Res2 output conv runs it
+        w = rng.uniform(-0.1, 0.1, (n_in, n_out)).astype(np.float32)
+        b = rng.uniform(-0.1, 0.1, n_out).astype(np.float32)
+        for t in BLOCKED_T:
+            x = rng.standard_normal((t, n_in))
+            whole = x @ w
+            whole += b
+            assert np.array_equal(affine(x, w, b), whole), t
+            if n_in == n_out:
+                assert np.array_equal(affine(x, w, b, out=x), whole), t
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_blas_buffer_stays_one_block(self):
+        # OpenBLAS keeps its packing buffer resident, and the part a product
+        # touches grows with the left operand's rows (tracemalloc cannot see
+        # it). Whole, this product left the output plus ~10.8 MB; in row
+        # blocks, the output plus ~1.3 MB (one BLAS thread). The child reads
+        # its own high-water mark (VmHWM): ru_maxrss would start from this
+        # process's, since the child is forked from it.
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from agvoice.nn import affine
+            def hwm_kib():
+                with open("/proc/self/status") as f:
+                    return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+            rng = np.random.default_rng(0)
+            x, w, b = rng.random((5164, 512)), rng.random((512, 512)), np.zeros(512)
+            before = hwm_kib()
+            y = affine(x, w, b)
+            print(hwm_kib() - before, y.nbytes)
+            """
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=str(Path(agvoice.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        grew_kib, out_bytes = map(int, run.stdout.split())
+        assert grew_kib * 1024 < out_bytes + 4 * 2**20
 
 
 class TestConv1d:
@@ -74,6 +133,20 @@ class TestConv1d:
     def test_even_kernel_rejected(self, rng):
         with pytest.raises(EvenKernel):
             conv1d(rng.standard_normal((5, 2)), rng.standard_normal((2, 2, 4)))
+
+    @pytest.mark.parametrize("c_out, c_in, k, dilation", CONV_SHAPES)
+    def test_blocked_is_one_whole_product(self, rng, c_out, c_in, k, dilation):
+        # bit for bit: each tap as one whole product of the padded input by
+        # its float32 kernel slice, added in tap order
+        kernels = rng.uniform(-0.1, 0.1, (c_out, c_in, k)).astype(np.float32)
+        pad = dilation * (k - 1) // 2
+        for t in BLOCKED_T:
+            x = rng.standard_normal((t, c_in))
+            xpad = np.pad(x, ((pad, pad), (0, 0)))
+            whole = np.zeros((t, c_out))
+            for j in range(k):
+                whole += xpad[j * dilation : j * dilation + t] @ kernels[:, :, j].T
+            assert np.array_equal(conv1d(x, kernels, dilation), whole), t
 
 
 class TestSoftmax:
