@@ -8,7 +8,6 @@ so the last level computes it directly. Every Table-3-style ablation is
 a `mode` of the same forward.
 """
 
-import hashlib
 import json
 import struct
 from dataclasses import dataclass, fields
@@ -30,6 +29,16 @@ from .nn import (
     relu,
     scaled_dot_attention,
 )
+
+# hashlib loads OpenSSL's libcrypto through _hashlib, 3.6 MB of every command's peak RSS, to hash a
+# few hundred bytes: take CPython's built-in sha256 (as its `random` takes sha512) when there is one.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 # Mode -> cues in level order: "f0" is the encoded pitch contour, "me" the
 # mel prompt encoding. The first cue prompts the backbone states (level 1),
@@ -99,7 +108,7 @@ def configs_from_fields(values: dict):
 def config_hash(backbone_cfg: BackboneConfig, agg_cfg: AggregationConfig) -> str:
     """64-bit hex digest over everything that shapes the forward pass."""
     blob = json.dumps(config_fields(backbone_cfg, agg_cfg), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return sha256(blob.encode()).hexdigest()[:16]
 
 
 def encode_f0(contour: F0Contour, params) -> np.ndarray:

@@ -351,10 +351,18 @@ def cmd_simmatrix(args):
     labels = [entry["utterance_id"] for entry in entries]
     matrix = pooled if key else evaluation.cosine_rows(x, x, labels, labels)
     dom = evaluation.diagonal_dominance(pooled)
-    # each file is computed and formatted block by block into its temp file: neither the N×N
-    # matrix nor its bytes are held whole
-    _atomic_write(args.out + ".csv", lambda f: evaluation.matrix_to_csv(matrix, f))
-    _atomic_write(args.out + ".pgm", lambda f: evaluation.matrix_to_pgm(matrix, f))
+    csv_path = args.out + ".csv"
+
+    def one_pass(f, pgm):
+        # each block of the matrix is computed once and written to both temp files: neither the N×N
+        # matrix nor its bytes are held whole. A failed write in the pass names the CSV, which takes
+        # over nine tenths of its bytes; the PGM's own temp file names the PGM.
+        try:
+            evaluation.matrix_to_csv(matrix, f, pgm)
+        except OSError as e:
+            raise InputError("cannot write %s: %s" % (csv_path, e.strerror)) from None
+
+    _atomic_write(csv_path, lambda f: _atomic_write(args.out + ".pgm", lambda pgm: one_pass(f, pgm)))
     print("diagonal_dominance %.6g" % dom)
     return 0
 

@@ -107,10 +107,12 @@ def _csv_field(label) -> str:
     return text
 
 
-# Rows formatted and written at once, in the CSV and the PGM: bounds the block's
-# arrays (16 bytes per cell, plus a few float temporaries) and its text to a
-# small fraction of the file.
+# Rows of u @ v.T computed at once, and written to the PGM: a block's cells can round differently at
+# another height (OpenBLAS picks its kernels by shape), so the height is fixed and the files keep their bytes.
 CSV_BLOCK_ROWS = 32
+# Cells of a block formatted at once, in whole rows: bounds the float temporaries of _cell_slots (about
+# 180 bytes per cell) and the chunk's text to about 1.5 MB at any N.
+CSV_CHUNK_CELLS = 8192
 # Bytes per cell in a block: an 8-byte lead word and two 4-digit words.
 _SLOT = 16
 
@@ -193,9 +195,46 @@ def _cell_slots(x, tables):
     return slots, slow
 
 
-def matrix_to_csv(m: SimilarityMatrix, f):
+def _csv_rows(cells, labels, tables) -> bytes:
+    """The CSV rows of the float64 rows `cells`, each led by its label's field."""
+    n = cells.shape[1]
+    x = np.ascontiguousarray(cells, dtype=np.float64).ravel()
+    slots, slow = _cell_slots(x, tables)
+    # the other cells are spliced into their rows' bytes: such a cell can be 17 bytes long
+    at_slow = np.flatnonzero(slow)
+    texts = [b",%.9g" % v for v in x[at_slow].tolist()]
+    ends = (at_slow * _SLOT).tolist()
+    bounds = np.searchsorted(at_slow, np.arange(len(labels) + 1) * n).tolist()
+    buf = memoryview(slots.reshape(-1).view(np.uint8))
+    lines = []
+    for i, label in enumerate(labels):
+        at, pieces = i * n * _SLOT, []
+        for k in range(bounds[i], bounds[i + 1]):
+            pieces += (buf[at : ends[k]], texts[k])
+            at = ends[k] + _SLOT
+        pieces += (buf[at : (i + 1) * n * _SLOT], b"\n")
+        # a label may hold a NUL, so only the cells go through translate
+        lines += (_csv_field(label).encode("utf-8"), b"".join(pieces).translate(None, b"\0"))
+    return b"".join(lines)
+
+
+def _pgm_header(m: SimilarityMatrix) -> bytes:
+    h, w = m.values.shape
+    return ("P5\n%d %d\n255\n" % (w, h)).encode()
+
+
+def _gray(block) -> np.ndarray:
+    """PGM pixels of a block of cells: [-1, 1] mapped affinely onto [0, 255]."""
+    return np.clip(np.round((block + 1.0) * 127.5), 0, 255).astype(np.uint8)
+
+
+def matrix_to_csv(m: SimilarityMatrix, f, pgm=None):
     """Write the matrix to the binary file `f` as UTF-8 CSV: a header of column labels, then one row per
-    row label, each cell "%.9g". Each block of CSV_BLOCK_ROWS rows is written as soon as it is formatted.
+    row label, each cell "%.9g". With a binary file `pgm`, write it there as matrix_to_pgm does, in the same pass.
+
+    Each product block of CSV_BLOCK_ROWS rows is computed once; its PGM rows
+    are written, then its CSV rows formatted and written in chunks of about
+    CSV_CHUNK_CELLS cells (at least one row).
 
     Cells with 1e-4 <= |x| < 1, nearly every cosine, are built from table
     words: "%.9g" writes them as [-]0., 0 to 3 zeros and nine digits with
@@ -210,36 +249,22 @@ def matrix_to_csv(m: SimilarityMatrix, f):
     is formatted by "%.9g" itself.
     """
     tables = _csv_tables()
-    n = m.values.shape[1]
+    chunk = max(1, CSV_CHUNK_CELLS // max(1, m.values.shape[1]))
     f.write(("," + ",".join(_csv_field(c) for c in m.col_labels) + "\n").encode("utf-8"))
+    if pgm is not None:
+        pgm.write(_pgm_header(m))
     for start in range(0, len(m.values), CSV_BLOCK_ROWS):
         block = m.values[start : start + CSV_BLOCK_ROWS]
-        x = np.ascontiguousarray(block, dtype=np.float64).ravel()
-        slots, slow = _cell_slots(x, tables)
-        # the other cells are spliced into their rows' bytes: such a cell can be 17 bytes long
-        at_slow = np.flatnonzero(slow)
-        texts = [b",%.9g" % v for v in x[at_slow].tolist()]
-        ends = (at_slow * _SLOT).tolist()
+        if pgm is not None:
+            pgm.write(_gray(block))
         labels = m.row_labels[start : start + len(block)]
-        bounds = np.searchsorted(at_slow, np.arange(len(labels) + 1) * n).tolist()
-        buf = memoryview(slots.reshape(-1).view(np.uint8))
-        lines = []
-        for i, label in enumerate(labels):
-            at, pieces = i * n * _SLOT, []
-            for k in range(bounds[i], bounds[i + 1]):
-                pieces += (buf[at : ends[k]], texts[k])
-                at = ends[k] + _SLOT
-            pieces += (buf[at : (i + 1) * n * _SLOT], b"\n")
-            # a label may hold a NUL, so only the cells go through translate
-            lines += (_csv_field(label).encode("utf-8"), b"".join(pieces).translate(None, b"\0"))
-        f.write(b"".join(lines))
+        for at in range(0, len(block), chunk):
+            f.write(_csv_rows(block[at : at + chunk], labels[at : at + chunk], tables))
 
 
 def matrix_to_pgm(m: SimilarityMatrix, f):
     """Write the matrix to the binary file `f` as a P5 PGM, [-1, 1] mapped affinely onto [0, 255], in
     blocks of CSV_BLOCK_ROWS rows."""
-    h, w = m.values.shape
-    f.write(("P5\n%d %d\n255\n" % (w, h)).encode())
-    for start in range(0, h, CSV_BLOCK_ROWS):
-        block = m.values[start : start + CSV_BLOCK_ROWS]
-        f.write(np.clip(np.round((block + 1.0) * 127.5), 0, 255).astype(np.uint8))
+    f.write(_pgm_header(m))
+    for start in range(0, len(m.values), CSV_BLOCK_ROWS):
+        f.write(_gray(m.values[start : start + CSV_BLOCK_ROWS]))

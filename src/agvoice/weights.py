@@ -7,7 +7,6 @@ the file's bytes; float32 converts to float64 exactly, so the float64
 kernels compute from it what they would from a float64 copy.
 """
 
-import hashlib
 import json
 import math
 import struct
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import ENCODERS, FIXED_FIELDS, AggregationConfig, config_fields, config_hash, configs_from_fields
+from .aggregation import ENCODERS, FIXED_FIELDS, AggregationConfig, config_fields, config_hash, configs_from_fields, sha256
 from .backbone import DILATIONS, RES2_SCALE, BackboneConfig
 from .dsp import N_MELS
 from .errors import (
@@ -105,7 +104,7 @@ def param_shapes(bb: BackboneConfig, agg: AggregationConfig) -> dict:
 
 
 def _name_hash(name: str) -> int:
-    return int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "little")
+    return int.from_bytes(sha256(name.encode()).digest()[:8], "little")
 
 
 def _init_tensor(name, shape, seed, d_model):

@@ -1,5 +1,6 @@
 import csv
 import errno
+import importlib.util
 import io
 import json
 import os
@@ -1013,10 +1014,16 @@ class TestFileErrors:
         out.mkdir()
         (out / "sim.csv").write_bytes(b"old bytes")
         full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), "tmp0123456789abcdef")
-        monkeypatch.setattr(evaluation, "matrix_to_csv", lambda m, f: self.fails_after_one_block(full)(f))
+        # the one pass that writes both files fails once a block has reached each temp file
+        def one_pass(m, f, pgm):
+            pgm.write(b"0" * 65536)
+            self.fails_after_one_block(full)(f)
+
+        monkeypatch.setattr(evaluation, "matrix_to_csv", one_pass)
         capsys.readouterr()
         assert main(["simmatrix", str(index), "--out", str(out / "sim")]) == 2
         assert capsys.readouterr().err == "error: cannot write %s: %s\n" % (out / "sim.csv", os.strerror(errno.ENOSPC))
+        # no temp file of either the CSV or the PGM is left
         assert sorted(p.name for p in out.iterdir()) == ["sim.csv"]
         assert (out / "sim.csv").read_bytes() == b"old bytes"
 
@@ -1035,3 +1042,35 @@ def test_selftest_corrupt_weights(tmp_path, weights_file):
     blob[0:8] = b"AGVW9999"
     bad.write_bytes(bytes(blob))
     assert main(["selftest", "--seed", "0", "--weights", str(bad)]) == 3
+
+
+# The commands that read a weight file or embeddings, in a fresh interpreter; prints whether OpenSSL's
+# hashlib backend was loaded. `init` is left out: numpy.random, whose PCG64 draws it needs, imports
+# secrets, which imports hmac and so _hashlib.
+NO_OPENSSL_SCRIPT = """
+import sys
+from agvoice.cli import main
+
+for argv in (
+    "inspect --weights desk.agvw",
+    "embed manifest.jsonl --weights desk.agvw --out emb",
+    "simmatrix emb/index.json --out sim",
+    "simmatrix emb/index.json --group-by speaker --out grouped",
+    "abx --reference emb/utt0.json emb/utt1.json emb/utt2.json",
+):
+    assert main(argv.split()) == 0, argv
+print("_hashlib" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")), reason="no built-in sha256 module"
+)
+def test_no_command_loads_openssl(tmp_path, weights_file, manifest):
+    # hashlib's OpenSSL backend adds 3.6 MB to the peak RSS of a process that only hashes a config
+    src = os.path.dirname(os.path.dirname(agvoice.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", NO_OPENSSL_SCRIPT], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False\n"

@@ -10,6 +10,7 @@ import pytest
 from agvoice.errors import DimMismatch, LabelMismatch, ZeroNorm
 from agvoice.evaluation import (
     CSV_BLOCK_ROWS,
+    CSV_CHUNK_CELLS,
     SimilarityMatrix,
     abx_select,
     cosine,
@@ -338,7 +339,7 @@ class TestCsvCells:
         check()
 
     def test_writing_holds_well_under_one_copy_of_the_text(self, cosine_1k, tmp_path):
-        # each block's text goes to the file once formatted: 4.75 MB traced for 13.3 MB of text, 0.36 of it
+        # each chunk's text goes to the file once formatted: 1.0 MB traced for 13.3 MB of text, 0.08 of it
         path = tmp_path / "sim.csv"
         with open(path, "wb") as f:
             matrix_to_csv(cosine_1k, f)  # numpy's one-time set-up stays outside the count
@@ -350,3 +351,38 @@ class TestCsvCells:
         finally:
             tracemalloc.stop()
         assert peak <= 0.4 * path.stat().st_size
+
+
+class TestOnePass:
+    """matrix_to_csv given a PGM file writes both in one pass over the product blocks: the bytes of
+    matrix_to_csv and matrix_to_pgm each alone."""
+
+    @pytest.mark.parametrize("d", [4, 192])
+    @pytest.mark.parametrize("n", [2, 31, 32, 33, 65, 333])
+    def test_same_bytes_as_the_separate_writers(self, rng, n, d):
+        x = rng.standard_normal((n, d))
+        labels = ["u%d" % i for i in range(n)]
+        m = cosine_rows(x, x, labels, labels)
+        f, pgm = io.BytesIO(), io.BytesIO()
+        matrix_to_csv(m, f, pgm)
+        assert f.getvalue() == written(matrix_to_csv, m)
+        assert pgm.getvalue() == written(matrix_to_pgm, m)
+
+    def test_rows_wider_than_a_chunk(self, rng):
+        assert csv_mismatch(rng.uniform(-1.0, 1.0, (3, CSV_CHUNK_CELLS + 5))) is None
+
+    def test_write_is_bounded(self, rng, tmp_path):
+        # N=1500, d=4: formatting whole 32-row blocks traced 8.5 MB, about 180 bytes per cell of a block;
+        # chunks of CSV_CHUNK_CELLS cells hold the pass to a few thousand cells' temporaries
+        x = rng.standard_normal((1500, 4))
+        m = cosine_rows(x, x)
+        with open(tmp_path / "sim.csv", "wb") as f, open(tmp_path / "sim.pgm", "wb") as pgm:
+            matrix_to_csv(m, f, pgm)  # numpy's one-time set-up stays outside the count
+        tracemalloc.start()
+        try:
+            with open(tmp_path / "sim.csv", "wb") as f, open(tmp_path / "sim.pgm", "wb") as pgm:
+                matrix_to_csv(m, f, pgm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6

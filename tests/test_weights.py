@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from agvoice.aggregation import MODES, AggregationConfig, extract_embedding
+from agvoice.aggregation import MODES, AggregationConfig, config_fields, config_hash, extract_embedding
 from agvoice.backbone import BackboneConfig
 from agvoice.errors import (
     BadMagic,
@@ -19,6 +20,7 @@ from agvoice.errors import (
 from agvoice.nn import SCALE_MODES, param_group
 from agvoice.weights import (
     ParamStore,
+    _name_hash,
     check_params,
     init_params,
     load,
@@ -222,3 +224,19 @@ def test_missing_parameter_error(cfgs):
         store["backbone.nonexistent"]
     with pytest.raises(MissingParameter):
         param_group(store.entries, "agg")["nonexistent"]
+
+
+@pytest.mark.parametrize(
+    "bb, agg",
+    [
+        (BackboneConfig(), AggregationConfig()),
+        (BackboneConfig(channels=16, d_model=8), AggregationConfig(mode="SE_F0_then_ME", n_tokens=2, heads=2, d_model=8)),
+        (BackboneConfig(channels=512), AggregationConfig(mode="SE", splitting=False, scale_mode=SCALE_MODES[-1])),
+    ],
+)
+def test_hashes_equal_hashlib_sha256(bb, agg):
+    # config_hash and the per-tensor keys take sha256 from CPython's built-in module when there is one
+    blob = json.dumps(config_fields(bb, agg), sort_keys=True).encode()
+    assert config_hash(bb, agg) == hashlib.sha256(blob).hexdigest()[:16]
+    for name in param_shapes(bb, agg):
+        assert _name_hash(name) == int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "little")
