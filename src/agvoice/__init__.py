@@ -1,40 +1,34 @@
 """agvoice: language-agnostic speaker embeddings via multi-level
-attention aggregation over an SE-Res2 speaker backbone."""
+attention aggregation over an SE-Res2 speaker backbone.
 
-from .aggregation import (
-    AggregationConfig,
-    SpeakerEmbedding,
-    extract_embedding,
-)
-from .audio_io import AudioBuffer, decode_wav, resample
-from .backbone import BackboneConfig, backbone_forward
-from .dsp import F0Contour, MelSpectrogram, mel_spectrogram, yin_f0
-from .evaluation import SimilarityMatrix, abx_select, cosine, cross_similarity, diagonal_dominance
-from .weights import ParamStore, check_params, init_params, load, save
+The public names are imported from their modules on first access, so
+`from agvoice import load` imports only the weight-file code.
+"""
 
-__all__ = [
-    "AggregationConfig",
-    "AudioBuffer",
-    "BackboneConfig",
-    "F0Contour",
-    "MelSpectrogram",
-    "ParamStore",
-    "SimilarityMatrix",
-    "SpeakerEmbedding",
-    "abx_select",
-    "backbone_forward",
-    "check_params",
-    "cosine",
-    "cross_similarity",
-    "decode_wav",
-    "diagonal_dominance",
-    "extract_embedding",
-    "init_params",
-    "load",
-    "mel_spectrogram",
-    "resample",
-    "save",
-    "yin_f0",
-]
+import importlib
 
 __version__ = "0.1.0"
+
+# Module -> the public names it defines.
+_EXPORTS = {
+    "aggregation": ("SpeakerEmbedding", "extract_embedding"),
+    "audio_io": ("AudioBuffer", "decode_wav", "resample"),
+    "backbone": ("backbone_forward",),
+    "config": ("AggregationConfig", "BackboneConfig"),
+    "dsp": ("F0Contour", "MelSpectrogram", "mel_spectrogram", "yin_f0"),
+    "evaluation": ("SimilarityMatrix", "abx_select", "cosine", "cross_similarity", "diagonal_dominance"),
+    "weights": ("ParamStore", "check_params", "init_params", "load", "save"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(importlib.import_module("." + _HOME[name], __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

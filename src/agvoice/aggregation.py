@@ -10,16 +10,17 @@ a `mode` of the same forward.
 
 import json
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .audio_io import CANONICAL_RATE, AudioBuffer, resample
-from .backbone import DILATIONS, RES2_SCALE, BackboneConfig, backbone_forward, require_positive_int
-from .dsp import N_MELS, F0Contour, MelSpectrogram, mel_spectrogram, yin_f0
-from .errors import EmptyContour, IndivisibleHeads, InvalidConfig, ShapeMismatch
+from .backbone import backbone_forward
+from .config import ENCODERS, AggregationConfig, BackboneConfig, config_hash
+from .config import FIXED_FIELDS, MODES, config_fields  # noqa: F401  (not used here: their old import path)
+from .dsp import F0Contour, MelSpectrogram, mel_spectrogram, yin_f0
+from .errors import EmptyContour, ShapeMismatch
 from .nn import (
-    SCALE_MODES,
     affine,
     exp_scores,
     glu_gated_conv,
@@ -30,59 +31,9 @@ from .nn import (
     scaled_dot_attention,
 )
 
-# hashlib loads OpenSSL's libcrypto through _hashlib, 3.6 MB of every command's peak RSS, to hash a
-# few hundred bytes: take CPython's built-in sha256 (as its `random` takes sha512) when there is one.
-try:
-    from _sha2 import sha256  # CPython 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # CPython 3.10-3.11
-    except ImportError:
-        from hashlib import sha256
-
-# Mode -> cues in level order: "f0" is the encoded pitch contour, "me" the
-# mel prompt encoding. The first cue prompts the backbone states (level 1),
-# the second probes that result (level 2); no cue leaves the pooled z.
-MODES = {
-    "SE": (),
-    "SE_F0": ("f0",),
-    "SE_ME": ("me",),
-    "SE_F0_then_ME": ("f0", "me"),
-    "SE_ME_then_F0": ("me", "f0"),
-}
-# Cue -> the parameter group of its encoder, under `agg.`.
-ENCODERS = {"f0": "f0_enc", "me": "mel_enc"}
-# The backbone shape no config sets; config_hash and weight files still carry it.
-FIXED_FIELDS = {"in_dim": N_MELS, "scale": RES2_SCALE, "dilations": DILATIONS}
 # Query rows per attention block in an aggregation level: a level holds at
 # most ATTENTION_ROWS x T weights instead of T x T.
 ATTENTION_ROWS = 256
-
-
-@dataclass(frozen=True)
-class AggregationConfig:
-    mode: str = "SE_F0_then_ME"
-    splitting: bool = True
-    n_tokens: int = 8
-    heads: int = 4
-    d_model: int = 192
-    scale_mode: str = "sqrt"
-
-    def __post_init__(self):
-        if not isinstance(self.mode, str) or self.mode not in MODES:
-            raise InvalidConfig("unknown mode %r" % (self.mode,))
-        if not isinstance(self.scale_mode, str) or self.scale_mode not in SCALE_MODES:
-            raise InvalidConfig("unknown scale_mode %r" % (self.scale_mode,))
-        if not isinstance(self.splitting, bool):
-            raise InvalidConfig("splitting must be true or false, got %r" % (self.splitting,))
-        for name in ("n_tokens", "heads", "d_model"):
-            require_positive_int(name, getattr(self, name))
-        if self.d_model % self.heads:
-            raise IndivisibleHeads("d_model=%d vs heads=%d" % (self.d_model, self.heads))
-
-    @property
-    def cues(self):
-        return MODES[self.mode]
 
 
 @dataclass(frozen=True)
@@ -90,25 +41,6 @@ class SpeakerEmbedding:
     vector: np.ndarray
     mode: str
     config_hash: str
-
-
-def config_fields(backbone_cfg: BackboneConfig, agg_cfg: AggregationConfig) -> dict:
-    """FIXED_FIELDS and every field of both configs by name; the shared d_model is the backbone's."""
-    return {**FIXED_FIELDS, **{f.name: getattr(cfg, f.name) for cfg in (agg_cfg, backbone_cfg) for f in fields(cfg)}}
-
-
-def configs_from_fields(values: dict):
-    """(BackboneConfig, AggregationConfig) from field values; absent fields keep their defaults."""
-    return tuple(
-        cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
-        for cls in (BackboneConfig, AggregationConfig)
-    )
-
-
-def config_hash(backbone_cfg: BackboneConfig, agg_cfg: AggregationConfig) -> str:
-    """64-bit hex digest over everything that shapes the forward pass."""
-    blob = json.dumps(config_fields(backbone_cfg, agg_cfg), sort_keys=True)
-    return sha256(blob.encode()).hexdigest()[:16]
 
 
 def encode_f0(contour: F0Contour, params) -> np.ndarray:

@@ -10,37 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DILATIONS, RES2_SCALE, BackboneConfig  # noqa: F401  (BackboneConfig: its old import path)
 from .dsp import MelSpectrogram
-from .errors import IndivisibleScale, InvalidConfig
+from .errors import IndivisibleScale
 from .nn import affine, conv1d, param_group, relu, row_blocks, sigmoid
-
-
-def require_positive_int(name, value):
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-        raise InvalidConfig("%s must be a positive integer, got %r" % (name, value))
-
-
-# The ECAPA-TDNN shape the paper uses: each SE-Res2 block splits its
-# channels into RES2_SCALE groups, one block per dilation. The input is
-# the front end's N_MELS bands.
-RES2_SCALE = 8
-DILATIONS = (2, 3, 4)
-
-
-@dataclass(frozen=True)
-class BackboneConfig:
-    channels: int = 64          # paper scale: 512
-    d_model: int = 192
-
-    def __post_init__(self):
-        for name in ("channels", "d_model"):
-            require_positive_int(name, getattr(self, name))
-        if self.channels % RES2_SCALE:
-            raise IndivisibleScale("channels=%d not divisible by scale=%d" % (self.channels, RES2_SCALE))
-
-    @property
-    def bottleneck(self):
-        return max(self.channels // 8, 4)
 
 
 @dataclass(frozen=True)

@@ -6,21 +6,18 @@ invariant violation. All randomness flows from --seed.
 """
 
 import argparse
-import ctypes
 import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import aggregation, dsp, evaluation, weights
-from .aggregation import MODES, AggregationConfig
+from . import aggregation, dsp, weights
 from .audio_io import CANONICAL_RATE, AudioBuffer, decode_wav, resample
-from .backbone import BackboneConfig
+from .config import MODES, SCALE_MODES, AggregationConfig, BackboneConfig, config_hash, configs_from_fields
 from .errors import AgvError, ConfigError, DimMismatch, InputError, ShapeMismatch
-from .nn import SCALE_MODES, gradcheck, scaled_dot_attention, attention_backward
+from .nn import gradcheck, scaled_dot_attention, attention_backward
 
 MODE_FLAGS = {"+".join(("se",) + cues): mode for mode, cues in MODES.items()}
 # The labels a manifest line gives an utterance and its index entry carries.
@@ -37,13 +34,6 @@ FORMATS = {
 }
 # `embed` writes its index beside the embeddings under this name.
 INDEX_FILE = "index.json"
-try:
-    _libc = ctypes.CDLL(None)
-    _malloc_trim, _mallopt = _libc.malloc_trim, _libc.mallopt
-    _malloc_trim.argtypes, _malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
-    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-except (AttributeError, OSError, TypeError):  # not glibc
-    _malloc_trim = _mallopt = None
 M_ARENA_MAX = -8  # glibc's mallopt parameter number
 
 # `init`'s config flags: config field -> (flag, argparse options). A field
@@ -168,7 +158,7 @@ def _read_manifest(path):
 
 
 def cmd_init(args):
-    bb, agg = aggregation.configs_from_fields(_given_fields(args))
+    bb, agg = configs_from_fields(_given_fields(args))
     store = weights.init_params(bb, agg, args.seed)
     blob = io.BytesIO()
     weights.save(store, blob)
@@ -189,6 +179,20 @@ def cmd_inspect(args):
     return 0
 
 
+def _glibc_malloc():
+    """glibc's (malloc_trim, mallopt), or (None, None) where the C library is not glibc."""
+    import ctypes
+
+    try:
+        libc = ctypes.CDLL(None)
+        trim, opt = libc.malloc_trim, libc.mallopt
+        trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
+        opt.argtypes, opt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return None, None
+    return trim, opt
+
+
 def _num_threads():
     value = os.environ.get("AGV_NUM_THREADS", "1")
     try:
@@ -201,6 +205,10 @@ def _num_threads():
 
 
 def cmd_embed(args):
+    # imported here, not at module level: no other command starts threads or tunes malloc
+    from concurrent.futures import ThreadPoolExecutor
+
+    malloc_trim, mallopt = _glibc_malloc()
     n_workers = _num_threads()
     store, bb, agg = _load_model(args.weights)
     records = _read_manifest(args.manifest)
@@ -231,8 +239,8 @@ def cmd_embed(args):
             # clips at C=512 peaked at 184 or 220 MB RSS with the same arrays,
             # allocated in a different order. Handing the free pages back
             # starts each utterance from the same heap.
-            if _malloc_trim is not None:
-                _malloc_trim(0)
+            if malloc_trim is not None:
+                malloc_trim(0)
         return None
 
     # Pool threads allocate from glibc's main heap, which malloc_trim hands
@@ -240,8 +248,8 @@ def cmd_embed(args):
     # clips at C=512 peaked at 185 MB in a thread heap, moving by 15 MB with
     # the order of unrelated allocations, and at 159 MB in the main heap.
     # It must be set before the pool's threads first allocate.
-    if _mallopt is not None:
-        _mallopt(M_ARENA_MAX, 1)
+    if mallopt is not None:
+        mallopt(M_ARENA_MAX, 1)
     # One outcome per manifest line, in order. A raised failure stops the loop,
     # and Executor.map cancels every job that has not started.
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
@@ -252,7 +260,7 @@ def cmd_embed(args):
         if err is None
     ]
     index = {
-        "config_hash": aggregation.config_hash(bb, agg),
+        "config_hash": config_hash(bb, agg),
         "mode": agg.mode,
         "d": agg.d_model,
         "format": args.format,
@@ -335,6 +343,8 @@ def _load_index_embeddings(index_path):
 
 def _pooled_matrix(entries, x, key):
     """Cosine matrix between per-group means of the rows of `x`, groups by `entry[key]`, sorted."""
+    from . import evaluation
+
     groups = {}
     for i, entry in enumerate(entries):
         groups.setdefault(entry[key], []).append(i)
@@ -344,6 +354,8 @@ def _pooled_matrix(entries, x, key):
 
 
 def cmd_simmatrix(args):
+    from . import evaluation
+
     entries, x = _load_index_embeddings(args.index)
     key = {"speaker": "speaker_id", "language": "language"}.get(args.group_by)
     # dominance needs one column per group: pool by speaker when not grouped
@@ -368,6 +380,8 @@ def cmd_simmatrix(args):
 
 
 def cmd_abx(args):
+    from . import evaluation
+
     ref = _read_embedding_file(args.reference)
     cands = [_read_embedding_file(p) for p in args.candidates]
     _one_model(zip([args.reference, *args.candidates], [e.config_hash for e in (ref, *cands)]))

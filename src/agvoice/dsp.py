@@ -11,12 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import CANONICAL_RATE, AudioBuffer
+from .config import N_MELS
 from .errors import RateOutOfRange, TooShort
 from .nn import row_blocks
 
 WIN = 1024  # analysis window, also the FFT size
 HOP = 256
-N_MELS = 80
 FMAX_HZ = 8000.0  # the mel bands span 0 Hz to FMAX_HZ
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SCALE_MODES  # noqa: F401  (not used here: its old import path)
 from .errors import (
     EvenKernel,
     IndivisibleHeads,
@@ -33,7 +34,6 @@ from .errors import (
     ShapeMismatch,
 )
 
-SCALE_MODES = ("sqrt", "linear")
 # Rows per block of a row-blocked product. A 3 s clip (T = 255 frames) is
 # one block, so short clips run every product whole.
 BLOCK_ROWS = 256

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import ENCODERS, FIXED_FIELDS, AggregationConfig, config_fields, config_hash, configs_from_fields, sha256
-from .backbone import DILATIONS, RES2_SCALE, BackboneConfig
-from .dsp import N_MELS
+from .config import DILATIONS, ENCODERS, FIXED_FIELDS, N_MELS, RES2_SCALE, AggregationConfig, BackboneConfig, sha256
+from .config import config_fields, config_hash, configs_from_fields
 from .errors import (
     BadMagic,
     HeaderMismatch,

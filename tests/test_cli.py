@@ -1074,3 +1074,30 @@ def test_no_command_loads_openssl(tmp_path, weights_file, manifest):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "False\n"
+
+
+# The commands that start no threads, in a fresh interpreter; prints what each had loaded when it
+# returned. `embed` is left out: it imports concurrent.futures for its pool.
+NO_POOL_SCRIPT = """
+import sys
+from agvoice.cli import main
+
+for argv in (
+    "inspect --weights desk.agvw",
+    "simmatrix emb/index.json --out sim",
+    "simmatrix emb/index.json --group-by speaker --out grouped",
+    "abx --reference emb/utt0.json emb/utt1.json emb/utt2.json",
+):
+    assert main(argv.split()) == 0, argv
+    print(argv.split()[0], *(m for m in ("agvoice.evaluation", "concurrent.futures") if m in sys.modules), file=sys.stderr)
+"""
+
+
+def test_only_embed_imports_the_thread_pool(tmp_path, weights_file, manifest):
+    assert main([str(a) for a in ("embed", manifest, "--weights", weights_file, "--out", tmp_path / "emb")]) == 0
+    src = os.path.dirname(os.path.dirname(agvoice.__file__))
+    proc = subprocess.run([sys.executable, "-c", NO_POOL_SCRIPT], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # evaluation is imported by the first command that scores
+    assert proc.stderr.splitlines() == ["inspect", *["simmatrix agvoice.evaluation"] * 2, "abx agvoice.evaluation"]
