@@ -17,7 +17,6 @@ import numpy as np
 from .audio_io import CANONICAL_RATE, AudioBuffer, resample
 from .backbone import backbone_forward
 from .config import ENCODERS, AggregationConfig, BackboneConfig, config_hash
-from .config import FIXED_FIELDS, MODES, config_fields  # noqa: F401  (not used here: their old import path)
 from .dsp import F0Contour, MelSpectrogram, mel_spectrogram, yin_f0
 from .errors import EmptyContour, ShapeMismatch
 from .nn import (

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DILATIONS, RES2_SCALE, BackboneConfig  # noqa: F401  (BackboneConfig: its old import path)
+from .config import DILATIONS, RES2_SCALE, BackboneConfig  # noqa: F401  (BackboneConfig: perfbench/workloads.py imports it from here)
 from .dsp import MelSpectrogram
 from .errors import IndivisibleScale
 from .nn import affine, conv1d, param_group, relu, row_blocks, sigmoid

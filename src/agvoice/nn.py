@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SCALE_MODES  # noqa: F401  (not used here: its old import path)
 from .errors import (
     EvenKernel,
     IndivisibleHeads,

@@ -3,9 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from agvoice.aggregation import AggregationConfig
 from agvoice.audio_io import AudioBuffer, encode_wav_pcm16
-from agvoice.backbone import BackboneConfig
+from agvoice.config import AggregationConfig, BackboneConfig
 
 SR = 22050
 

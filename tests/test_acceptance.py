@@ -13,17 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from agvoice.aggregation import (
-    MODES,
-    AggregationConfig,
-    extract_embedding,
-)
+from agvoice.aggregation import extract_embedding
 from agvoice.audio_io import AudioBuffer
-from agvoice.backbone import (
-    BackboneConfig,
-    attentive_stats_pooling,
-    res2_block,
-)
+from agvoice.backbone import attentive_stats_pooling, res2_block
+from agvoice.config import MODES, AggregationConfig, BackboneConfig
 from agvoice.cli import main
 from agvoice.dsp import frame_count, mel_spectrogram, yin_f0
 from agvoice.errors import BadMagic, HeaderMismatch, TruncatedPayload

@@ -7,9 +7,6 @@ import pytest
 from agvoice import aggregation
 from agvoice.aggregation import (
     ATTENTION_ROWS as ROWS,
-    MODES,
-    AggregationConfig,
-    config_hash,
     cross_attention_stage,
     embedding_from_bytes,
     embedding_from_json,
@@ -22,7 +19,8 @@ from agvoice.aggregation import (
     level2_attention,
     split_and_fuse,
 )
-from agvoice.backbone import BackboneConfig, backbone_forward
+from agvoice.backbone import backbone_forward
+from agvoice.config import MODES, AggregationConfig, BackboneConfig, config_hash
 from agvoice.dsp import F0Contour, MelSpectrogram, mel_spectrogram
 from agvoice.errors import EmptyContour, ShapeMismatch
 from agvoice.nn import affine, glu_gated_conv, param_group, project_qkv, relu, scaled_dot_attention

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from agvoice.backbone import (
-    BackboneConfig,
     attentive_stats_pooling,
     backbone_forward,
     res2_block,
     se_gate,
 )
+from agvoice.config import AggregationConfig, BackboneConfig
 from agvoice.dsp import MelSpectrogram
 from agvoice.errors import IndivisibleScale
 from agvoice.nn import param_group
@@ -138,8 +138,6 @@ class TestAttentiveStatsPooling:
 
 class TestBackboneForward:
     def _store(self, cfg, seed=7):
-        from agvoice.aggregation import AggregationConfig
-
         agg = AggregationConfig(mode="SE", d_model=cfg.d_model, heads=2, n_tokens=2)
         return init_params(cfg, agg, seed)
 

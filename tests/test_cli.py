@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 import stat
 import struct
 import subprocess
@@ -160,8 +161,7 @@ class TestInitInspect:
     def test_inspect_lists_census(self, weights_file, capsys):
         assert main(["inspect", "--weights", str(weights_file)]) == 0
         out = capsys.readouterr().out
-        from agvoice.aggregation import AggregationConfig
-        from agvoice.backbone import BackboneConfig
+        from agvoice.config import AggregationConfig, BackboneConfig
         from agvoice.weights import param_shapes
 
         bb = BackboneConfig(channels=16, d_model=8)
@@ -1101,3 +1101,66 @@ def test_only_embed_imports_the_thread_pool(tmp_path, weights_file, manifest):
     assert proc.returncode == 0, proc.stderr
     # evaluation is imported by the first command that scores
     assert proc.stderr.splitlines() == ["inspect", *["simmatrix agvoice.evaluation"] * 2, "abx agvoice.evaluation"]
+
+
+def run_module(argv, cwd, stdout=subprocess.PIPE):
+    """`python -m agvoice.cli argv`, the path the console script takes, with standard output
+    block-buffered as it is by default (PYTHONUNBUFFERED removed): a command's last lines are still
+    in the buffer when `main` returns, and only the flush before `os._exit` writes them."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(agvoice.__file__))
+    cmd = [sys.executable, "-m", "agvoice.cli", *map(str, argv)]
+    return subprocess.run(cmd, cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=300)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", ["simmatrix", "abx", "init", "selftest"])
+def test_unwritable_stdout_exit_2(tmp_path, weights_file, manifest, command):
+    # each prints less than a buffer's worth, so all of it is still buffered when main returns
+    emb = tmp_path / "emb"
+    assert main([str(a) for a in ("embed", manifest, "--weights", weights_file, "--out", emb)]) == 0
+    argv = {
+        "simmatrix": ["simmatrix", emb / "index.json", "--out", tmp_path / "sim"],
+        "abx": ["abx", "--reference", emb / "utt0.json", emb / "utt1.json", emb / "utt2.json"],
+        "init": ["init", "--channels", "16", "--dmodel", "8", "--tokens", "2", "--heads", "2", "--out", tmp_path / "w.agvw"],
+        "selftest": ["selftest", "--seed", "0"],
+    }[command]
+    with open("/dev/full", "wb") as full:
+        proc = run_module(argv, tmp_path, stdout=full)
+    err = proc.stderr.decode("utf-8", "replace")
+    assert proc.returncode == 2, err
+    assert one_line(err, "error: "), err
+    assert "Exception ignored" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["mel", "inspect", "missing_weights", "bad_config", "embed"])
+def test_fast_exit_loses_no_output(tmp_path, weights_file, manifest, wav_factory, capsys, case):
+    # the same command in-process through main and as its own process through entrypoint's os._exit
+    out = tmp_path / "emb"
+    argv, code = {
+        # about 1 MB of CSV, more than a pipe buffer holds
+        "mel": lambda: (["mel", wav_factory("ten.wav", sine(220.0, seconds=10.0))], 0),
+        "inspect": lambda: (["inspect", "--weights", weights_file], 0),
+        "missing_weights": lambda: (["inspect", "--weights", tmp_path / "missing.agvw"], 2),
+        "bad_config": lambda: (
+            ["embed", manifest, "--weights", write_edited(weights_file, set_config(heads=0), tmp_path / "bad.agvw"),
+             "--out", out],
+            3,
+        ),
+        "embed": lambda: (["embed", manifest, "--weights", weights_file, "--out", out], 0),
+    }[case]()
+    argv = [str(a) for a in argv]
+    capsys.readouterr()
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    assert expected.err.count("\n") == (code != 0)
+    files = sorted(os.listdir(out)) if out.exists() else []
+    written = read_all(out, files)
+    shutil.rmtree(out, ignore_errors=True)
+    proc = run_module(argv, tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.decode("utf-8") == expected.out
+    assert proc.stderr.decode("utf-8") == expected.err
+    # the same files, and no temp file left behind
+    assert (sorted(os.listdir(out)) if out.exists() else []) == files
+    assert read_all(out, files) == written

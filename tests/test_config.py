@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import agvoice
-from agvoice import aggregation, backbone, config, dsp, nn, weights
+from agvoice import aggregation, backbone, config, dsp, weights
 
 # The benchmark's set-up steps: load a weight file and check it against the config it declares.
 # Prints the modules of the signal, attention, scoring and CLI code it had loaded by then.
@@ -74,12 +74,9 @@ def test_public_names_are_their_home_modules_objects():
 
 def test_each_config_definition_lives_in_config():
     assert aggregation.AggregationConfig is config.AggregationConfig
-    assert aggregation.MODES is config.MODES
     assert aggregation.ENCODERS is config.ENCODERS
-    assert aggregation.FIXED_FIELDS is config.FIXED_FIELDS
     assert aggregation.config_hash is config.config_hash
     assert backbone.BackboneConfig is config.BackboneConfig
-    assert nn.SCALE_MODES is config.SCALE_MODES
     assert dsp.N_MELS is config.N_MELS
     assert config.AggregationConfig.__module__ == "agvoice.config"
     assert config.BackboneConfig.__module__ == "agvoice.config"

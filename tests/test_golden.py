@@ -12,8 +12,8 @@ import io
 
 import pytest
 
-from agvoice.aggregation import AggregationConfig, config_hash, embedding_to_json, extract_embedding
-from agvoice.backbone import BackboneConfig
+from agvoice.aggregation import embedding_to_json, extract_embedding
+from agvoice.config import AggregationConfig, BackboneConfig, config_hash
 from agvoice.weights import init_params, save
 from conftest import sine
 

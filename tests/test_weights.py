@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from agvoice.aggregation import MODES, AggregationConfig, config_fields, config_hash, extract_embedding
-from agvoice.backbone import BackboneConfig
+from agvoice.aggregation import extract_embedding
+from agvoice.config import MODES, SCALE_MODES, AggregationConfig, BackboneConfig, config_fields, config_hash
 from agvoice.errors import (
     BadMagic,
     HeaderMismatch,
@@ -17,7 +17,7 @@ from agvoice.errors import (
     MissingParameter,
     TruncatedPayload,
 )
-from agvoice.nn import SCALE_MODES, param_group
+from agvoice.nn import param_group
 from agvoice.weights import (
     ParamStore,
     _name_hash,
