@@ -2,10 +2,12 @@
 
 Subcommands: init, inspect, embed, mel, f0, simmatrix, abx, selftest.
 Exit codes: 0 success, 2 input error, 3 config/weight error, 4 internal
-invariant violation. All randomness flows from --seed.
+invariant violation. All randomness flows from --seed. Each cmd_* returns
+(exit code, standard-output text, standard-error text); `main` writes them.
 """
 
 import argparse
+import errno
 import io
 import json
 import os
@@ -163,20 +165,19 @@ def cmd_init(args):
     blob = io.BytesIO()
     weights.save(store, blob)
     _atomic_write(args.out, blob.getvalue())
-    print("wrote %s (%d tensors, seed %d)" % (args.out, len(store.entries), args.seed))
-    return 0
+    return 0, "wrote %s (%d tensors, seed %d)\n" % (args.out, len(store.entries), args.seed), ""
 
 
 def cmd_inspect(args):
     store = weights.load(io.BytesIO(_read_bytes(args.weights)))
-    print("seed=%s config_digest=%s" % (store.meta.get("seed"), store.meta.get("config_digest")))
+    lines = ["seed=%s config_digest=%s\n" % (store.meta.get("seed"), store.meta.get("config_digest"))]
     for name in store.names():
         t = store.entries[name].astype(np.float64)  # the statistics of the float64 values the kernels see
-        print(
-            "%-44s %-14s min=%+.6g max=%+.6g mean=%+.6g"
+        lines.append(
+            "%-44s %-14s min=%+.6g max=%+.6g mean=%+.6g\n"
             % (name, "x".join(map(str, t.shape)), t.min(), t.max(), t.mean())
         )
-    return 0
+    return 0, "".join(lines), ""
 
 
 def _glibc_malloc():
@@ -267,23 +268,19 @@ def cmd_embed(args):
         "entries": entries,
     }
     _atomic_write(os.path.join(args.out, INDEX_FILE), json.dumps(index, indent=2, sort_keys=True).encode("utf-8"))
-    for rec, err in zip(records, outcomes):
-        if err is not None:
-            print("SKIP %s: %s" % (rec["utterance_id"], err), file=sys.stderr)
-    print("embedded %d/%d utterances -> %s" % (len(entries), len(records), args.out))
-    return 0
+    skips = "".join("SKIP %s: %s\n" % (rec["utterance_id"], err)
+                    for rec, err in zip(records, outcomes) if err is not None)
+    return 0, "embedded %d/%d utterances -> %s\n" % (len(entries), len(records), args.out), skips
 
 
 def cmd_mel(args):
     mel = dsp.mel_spectrogram(resample(_read_audio(args.audio), CANONICAL_RATE))
-    sys.stdout.write(dsp.mel_to_csv(mel))
-    return 0
+    return 0, dsp.mel_to_csv(mel), ""
 
 
 def cmd_f0(args):
     contour = dsp.yin_f0(resample(_read_audio(args.audio), CANONICAL_RATE))
-    sys.stdout.write(dsp.f0_to_csv(contour))
-    return 0
+    return 0, dsp.f0_to_csv(contour), ""
 
 
 def _read_embedding_file(path):
@@ -375,8 +372,7 @@ def cmd_simmatrix(args):
             raise InputError("cannot write %s: %s" % (csv_path, e.strerror)) from None
 
     _atomic_write(csv_path, lambda f: _atomic_write(args.out + ".pgm", lambda pgm: one_pass(f, pgm)))
-    print("diagonal_dominance %.6g" % dom)
-    return 0
+    return 0, "diagonal_dominance %.6g\n" % dom, ""
 
 
 def cmd_abx(args):
@@ -387,8 +383,7 @@ def cmd_abx(args):
     _one_model(zip([args.reference, *args.candidates], [e.config_hash for e in (ref, *cands)]))
     idx = evaluation.abx_select(ref.vector, [c.vector for c in cands])
     stem = os.path.basename(args.candidates[idx])
-    print(stem[: stem.rfind(".")] if "." in stem else stem)
-    return 0
+    return 0, (stem[: stem.rfind(".")] if "." in stem else stem) + "\n", ""
 
 
 def _selftest_gradchecks(rng):
@@ -421,16 +416,16 @@ def _selftest_pooled_gap(rng):
 
 
 def cmd_selftest(args):
-    failures = []
+    failures, report = [], []
     rng = np.random.default_rng(args.seed)
 
     worst_grad = _selftest_gradchecks(rng)
-    print("gradcheck worst relative error: %.3g" % worst_grad)
+    report.append("gradcheck worst relative error: %.3g" % worst_grad)
     if worst_grad >= 1e-6:
         failures.append("gradcheck")
 
     pooled_gap = _selftest_pooled_gap(rng)
-    print("pooled stage vs mean of full rows: max abs diff %.3g" % pooled_gap)
+    report.append("pooled stage vs mean of full rows: max abs diff %.3g" % pooled_gap)
     if not pooled_gap < 1e-12:
         failures.append("pooled stage")
 
@@ -442,19 +437,19 @@ def cmd_selftest(args):
         interior = slice(1, len(c) - 1)
         ok = np.abs(c.f0_hz[interior] - freq) < 0.5
         frac = (ok & c.voiced[interior]).mean()
-        print("yin %g Hz: %.1f%% frames within 0.5 Hz" % (freq, 100 * frac))
+        report.append("yin %g Hz: %.1f%% frames within 0.5 Hz" % (freq, 100 * frac))
         if frac < 0.95:
             failures.append("yin %g" % freq)
     silence = dsp.yin_f0(AudioBuffer(np.zeros(CANONICAL_RATE // 4), CANONICAL_RATE))
     if silence.voiced.any():
         failures.append("silence voiced")
     else:
-        print("silence: 100% unvoiced")
+        report.append("silence: 100% unvoiced")
 
     # serialization round trip
     if args.weights:
         store, _, _ = _load_model(args.weights)  # raises ConfigError -> exit 3
-        print("weight file ok: %d tensors" % len(store.entries))
+        report.append("weight file ok: %d tensors" % len(store.entries))
     bb = BackboneConfig(channels=16, d_model=8)
     agg = AggregationConfig(mode="SE_F0_then_ME", n_tokens=2, heads=2, d_model=8)
     store = weights.init_params(bb, agg, args.seed)
@@ -464,13 +459,10 @@ def cmd_selftest(args):
     if b1.getvalue() != b2.getvalue():
         failures.append("serialization round trip")
     else:
-        print("serialization round trip: bit-exact")
+        report.append("serialization round trip: bit-exact")
 
-    if failures:
-        print("FAIL: " + ", ".join(failures))
-        return 4
-    print("PASS")
-    return 0
+    report.append("FAIL: " + ", ".join(failures) if failures else "PASS")
+    return 4 if failures else 0, "\n".join(report) + "\n", ""
 
 
 def build_parser():
@@ -522,48 +514,55 @@ def build_parser():
     return p
 
 
+def _write(stream, text):
+    """Write `text` to a standard stream and flush it: None, or the strerror of the failure."""
+    try:
+        if stream is None:  # the file descriptor was closed when the process started
+            return os.strerror(errno.EBADF)
+        stream.write(text)
+        stream.flush()
+    except OSError as e:
+        return e.strerror
+    return None
+
+
 def main(argv=None) -> int:
+    """Run a command and write the standard-output and standard-error text it returns: no command
+    writes either stream (argparse writes its usage errors and help). A failed write of either
+    exits 2, standard output's with one `error:` line. An error line that standard error cannot
+    take is dropped, and the exit code is kept."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, out, err = args.func(args)
     except (InputError, OSError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+        code, out, err = 2, "", "error: %s\n" % e
     except ConfigError as e:
-        print("config error: %s" % e, file=sys.stderr)
-        return 3
+        code, out, err = 3, "", "config error: %s\n" % e
     except AgvError as e:
-        print("internal error: %s" % e, file=sys.stderr)
-        return 4
+        code, out, err = 4, "", "internal error: %s\n" % e
+    if err and _write(sys.stderr, err) and code == 0:  # embed's SKIP lines
+        code = 2
+    failed = _write(sys.stdout, out) if out else None
+    if failed:
+        code = 2
+        _write(sys.stderr, "error: cannot write standard output: %s\n" % failed)
+    return code
 
 
 def entrypoint():
     """Run `main` as the process: the console script and `python -m agvoice.cli` come here.
 
-    A command that returns flushes standard output and error and ends with `os._exit`, which
-    skips the interpreter's teardown (a last full collection over what numpy and agvoice leave
-    tracked, then module teardown): 11-12 ms of an 88-123 ms `simmatrix` or `embed` call on
-    a 2-core VM. A failed flush of standard output exits 2 with one `error:` line, where teardown
-    would print CPython's two-line "Exception ignored" report and exit 120. A command that
-    raises (argparse's usage errors, an uncaught exception) exits the normal way.
+    `main` has written and flushed all output when it returns, so the process ends with `os._exit`,
+    which skips the interpreter's teardown (a last full collection over what numpy and agvoice
+    leave tracked, then module teardown): 11-12 ms of an 88-123 ms `simmatrix` or `embed` call
+    on a 2-core VM. A command that raises (argparse's usage errors, an uncaught exception) exits
+    the normal way.
 
     Nothing after `main` runs, so the fast exit relies on two rules: whatever buffers output (a
     `logging` handler, a report file) is flushed or closed before `main` returns, and
     `entrypoint` is never called in-process (tests and the benchmark's tracer call `main`).
     """
-    code, message = main(), ""
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except OSError as e:
-        code, message = 2, "error: cannot write standard output: %s\n" % e.strerror
-    try:
-        if sys.stderr is not None:
-            sys.stderr.write(message)
-            sys.stderr.flush()
-    except OSError:  # no stream left to report it on
-        pass
-    os._exit(code)
+    os._exit(main())
 
 
 if __name__ == "__main__":

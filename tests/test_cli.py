@@ -1103,53 +1103,125 @@ def test_only_embed_imports_the_thread_pool(tmp_path, weights_file, manifest):
     assert proc.stderr.splitlines() == ["inspect", *["simmatrix agvoice.evaluation"] * 2, "abx agvoice.evaluation"]
 
 
-def run_module(argv, cwd, stdout=subprocess.PIPE):
+# a standard stream given to run_module as CLOSED has its file descriptor closed before exec
+CLOSED = "closed"
+
+
+def run_module(argv, cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, unbuffered=False):
     """`python -m agvoice.cli argv`, the path the console script takes, with standard output
-    block-buffered as it is by default (PYTHONUNBUFFERED removed): a command's last lines are still
-    in the buffer when `main` returns, and only the flush before `os._exit` writes them."""
+    block-buffered as it is by default (PYTHONUNBUFFERED removed) unless `unbuffered`: either way
+    `main` writes and flushes a command's output before it returns, and `entrypoint` ends the
+    process with `os._exit`."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(agvoice.__file__))
-    cmd = [sys.executable, "-m", "agvoice.cli", *map(str, argv)]
-    return subprocess.run(cmd, cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=300)
+    closing = " ".join(redirect for redirect, stream in ((">&-", stdout), ("2>&-", stderr)) if stream is CLOSED)
+    cmd = ["sh", "-c", 'exec "$@" ' + closing, "sh"] if closing else []
+    cmd += [sys.executable, "-m", "agvoice.cli", *map(str, argv)]
+    stdout, stderr = (subprocess.DEVNULL if stream is CLOSED else stream for stream in (stdout, stderr))
+    return subprocess.run(cmd, cwd=cwd, env=env, stdout=stdout, stderr=stderr, timeout=300)
+
+
+# The exit code of each case of `case_argv` that fails on working streams; every other case succeeds.
+FAILING_CASES = {"missing_weights": 2, "bad_config": 3}
+
+
+def case_argv(case, tmp_path, weights_file, manifest, wav_factory):
+    """The argv of a command on input it succeeds on, of a failing case, or of `keep_going`, which
+    succeeds with a SKIP line on standard error. `simmatrix` and `abx` read embeddings made here first."""
+    emb = tmp_path / "emb"
+    if case in ("simmatrix", "abx") and not emb.exists():
+        assert main([str(a) for a in ("embed", manifest, "--weights", weights_file, "--out", emb)]) == 0
+
+    def ten():  # mel and f0 of a 10 s clip print more than a buffer's worth, the other commands less
+        return wav_factory("ten.wav", sine(220.0, seconds=10.0))
+
+    return [str(a) for a in {
+        "init": lambda: ["init", "--channels", "16", "--dmodel", "8", "--tokens", "2", "--heads", "2",
+                         "--out", tmp_path / "w.agvw"],
+        "inspect": lambda: ["inspect", "--weights", weights_file],
+        "embed": lambda: ["embed", manifest, "--weights", weights_file, "--out", tmp_path / "out"],
+        "mel": lambda: ["mel", ten()],
+        "f0": lambda: ["f0", ten()],
+        "simmatrix": lambda: ["simmatrix", emb / "index.json", "--out", tmp_path / "sim"],
+        "abx": lambda: ["abx", "--reference", emb / "utt0.json", emb / "utt1.json", emb / "utt2.json"],
+        "selftest": lambda: ["selftest", "--seed", "0"],
+        "missing_weights": lambda: ["inspect", "--weights", tmp_path / "missing.agvw"],
+        "bad_config": lambda: ["embed", manifest, "--weights",
+                               write_edited(weights_file, set_config(heads=0), tmp_path / "bad.agvw"), "--out", tmp_path / "out"],
+        "keep_going": lambda: ["embed", clips_manifest(tmp_path, wav_factory, n_good=2, bad_at=1), "--weights",
+                               weights_file, "--out", tmp_path / "out", "--keep-going"],
+    }[case]()]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("command", ["simmatrix", "abx", "init", "selftest"])
-def test_unwritable_stdout_exit_2(tmp_path, weights_file, manifest, command):
-    # each prints less than a buffer's worth, so all of it is still buffered when main returns
-    emb = tmp_path / "emb"
-    assert main([str(a) for a in ("embed", manifest, "--weights", weights_file, "--out", emb)]) == 0
-    argv = {
-        "simmatrix": ["simmatrix", emb / "index.json", "--out", tmp_path / "sim"],
-        "abx": ["abx", "--reference", emb / "utt0.json", emb / "utt1.json", emb / "utt2.json"],
-        "init": ["init", "--channels", "16", "--dmodel", "8", "--tokens", "2", "--heads", "2", "--out", tmp_path / "w.agvw"],
-        "selftest": ["selftest", "--seed", "0"],
-    }[command]
+@pytest.mark.parametrize("command, unbuffered", [
+    pytest.param(command, unbuffered, id=command + ("-unbuffered" if unbuffered else ""))
+    for unbuffered in (False, True)
+    for command in ("simmatrix", "abx", "init", "selftest", "mel", "f0", "inspect")
+])
+def test_unwritable_stdout_exit_2(tmp_path, weights_file, manifest, wav_factory, command, unbuffered):
+    argv = case_argv(command, tmp_path, weights_file, manifest, wav_factory)
     with open("/dev/full", "wb") as full:
-        proc = run_module(argv, tmp_path, stdout=full)
+        proc = run_module(argv, tmp_path, stdout=full, unbuffered=unbuffered)
     err = proc.stderr.decode("utf-8", "replace")
     assert proc.returncode == 2, err
-    assert one_line(err, "error: "), err
-    assert "Exception ignored" not in err and "Traceback" not in err
+    assert err == "error: cannot write standard output: %s\n" % os.strerror(errno.ENOSPC), err
+
+
+@pytest.mark.parametrize("command", ["mel", "inspect", "abx"])
+def test_closed_stdout_exit_2(tmp_path, weights_file, manifest, wav_factory, command):
+    proc = run_module(case_argv(command, tmp_path, weights_file, manifest, wav_factory), tmp_path, stdout=CLOSED)
+    err = proc.stderr.decode("utf-8", "replace")
+    assert proc.returncode == 2, err
+    assert err == "error: cannot write standard output: %s\n" % os.strerror(errno.EBADF), err
+
+
+@pytest.mark.parametrize("stderr", ["full", "closed"])
+@pytest.mark.parametrize("case", ["missing_weights", "bad_config", "keep_going"])
+def test_unwritable_stderr_keeps_the_exit_code(tmp_path, weights_file, manifest, wav_factory, case, stderr):
+    if stderr == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    argv = case_argv(case, tmp_path, weights_file, manifest, wav_factory)
+    if stderr == "closed":
+        proc = run_module(argv, tmp_path, stderr=CLOSED)
+    else:
+        with open("/dev/full", "wb") as full:
+            proc = run_module(argv, tmp_path, stderr=full)
+    # keep_going's SKIP line cannot be written, which exits 2; its count line still is
+    stdout = "embedded 2/3 utterances -> %s\n" % (tmp_path / "out") if case == "keep_going" else ""
+    assert (proc.returncode, proc.stdout.decode("utf-8")) == (FAILING_CASES.get(case, 2), stdout)
+
+
+class BrokenStream:
+    """A standard stream on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("case", ["init", "inspect", "embed", "mel", "f0", "simmatrix", "abx", "selftest",
+                                  "missing_weights", "bad_config", "keep_going"])
+def test_broken_streams_keep_a_failure_code(tmp_path, weights_file, manifest, wav_factory, monkeypatch, capsys, case):
+    # in-process: a command that succeeds exits 2 when neither standard stream takes a write,
+    # and one that fails keeps its code
+    argv = case_argv(case, tmp_path, weights_file, manifest, wav_factory)
+    assert main(argv) == FAILING_CASES.get(case, 0), capsys.readouterr().err
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", BrokenStream())
+        m.setattr(sys, "stderr", BrokenStream())
+        assert main(argv) == FAILING_CASES.get(case, 2)
 
 
 @pytest.mark.parametrize("case", ["mel", "inspect", "missing_weights", "bad_config", "embed"])
 def test_fast_exit_loses_no_output(tmp_path, weights_file, manifest, wav_factory, capsys, case):
     # the same command in-process through main and as its own process through entrypoint's os._exit
-    out = tmp_path / "emb"
-    argv, code = {
-        # about 1 MB of CSV, more than a pipe buffer holds
-        "mel": lambda: (["mel", wav_factory("ten.wav", sine(220.0, seconds=10.0))], 0),
-        "inspect": lambda: (["inspect", "--weights", weights_file], 0),
-        "missing_weights": lambda: (["inspect", "--weights", tmp_path / "missing.agvw"], 2),
-        "bad_config": lambda: (
-            ["embed", manifest, "--weights", write_edited(weights_file, set_config(heads=0), tmp_path / "bad.agvw"),
-             "--out", out],
-            3,
-        ),
-        "embed": lambda: (["embed", manifest, "--weights", weights_file, "--out", out], 0),
-    }[case]()
-    argv = [str(a) for a in argv]
+    out, code = tmp_path / "out", FAILING_CASES.get(case, 0)
+    argv = case_argv(case, tmp_path, weights_file, manifest, wav_factory)
     capsys.readouterr()
     assert main(argv) == code
     expected = capsys.readouterr()
