@@ -8,7 +8,6 @@ invariant violation. All randomness flows from --seed. Each cmd_* returns
 
 import argparse
 import errno
-import io
 import json
 import os
 import sys
@@ -62,7 +61,7 @@ def _given_fields(args):
 
 def _load_model(path):
     """The tensors of a weight file and the config its header declares, checked against each other."""
-    store = weights.load(io.BytesIO(_read_bytes(path)))
+    store = weights.load(_read_bytes(path))
     bb, agg = weights.configs_from_dict(store.meta.get("config"))
     weights.check_params(store, bb, agg)
     return store, bb, agg
@@ -162,14 +161,12 @@ def _read_manifest(path):
 def cmd_init(args):
     bb, agg = configs_from_fields(_given_fields(args))
     store = weights.init_params(bb, agg, args.seed)
-    blob = io.BytesIO()
-    weights.save(store, blob)
-    _atomic_write(args.out, blob.getvalue())
+    _atomic_write(args.out, weights.save(store))
     return 0, "wrote %s (%d tensors, seed %d)\n" % (args.out, len(store.entries), args.seed), ""
 
 
 def cmd_inspect(args):
-    store = weights.load(io.BytesIO(_read_bytes(args.weights)))
+    store = weights.load(_read_bytes(args.weights))
     lines = ["seed=%s config_digest=%s\n" % (store.meta.get("seed"), store.meta.get("config_digest"))]
     for name in store.names():
         t = store.entries[name].astype(np.float64)  # the statistics of the float64 values the kernels see
@@ -217,7 +214,10 @@ def cmd_embed(args):
     for rec in records:
         if rec["utterance_id"] + ext == INDEX_FILE:
             raise InputError("utterance_id %r would be written over the index, %s" % (rec["utterance_id"], INDEX_FILE))
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as e:
+        raise InputError("cannot write %s: %s" % (args.out, e.strerror)) from None
 
     def one(rec):
         """Write one utterance's file; under --keep-going a failure comes back as its message."""
@@ -298,9 +298,10 @@ def _read_embedding_file(path):
 
 
 def _one_model(named_hashes):
-    """Refuse (name, config_hash) pairs whose non-empty hashes differ: cosines across models mean nothing.
+    """Refuse (name, config_hash) pairs whose non-empty hashes differ: cosines across configs mean nothing.
 
-    `.emb` files carry no hash, so they are never refused.
+    `.emb` files carry no hash, so they are never refused. The hash is of the config alone, so
+    embeddings of two weight files of one config (two seeds) are not told apart.
     """
     known = [(name, h) for name, h in named_hashes if h]
     for name, h in known[1:]:
@@ -399,7 +400,7 @@ def _selftest_gradchecks(rng):
     draws = [[rng.standard_normal(shape) for shape in ((3, 5), (4, 5), (4, 5))] for _ in range(3)]
     # A near-zero gradient entry is compared against central-difference
     # roundoff, which scales with |f|, so the floor does too.
-    return max(gradcheck(f, g, xs, abs_floor=max(1e-8, 1e-4 * (1.0 + abs(f(xs))))).max_rel_error for xs in draws)
+    return max(gradcheck(f, g, xs, abs_floor=max(1e-8, 1e-4 * (1.0 + abs(f(xs))))) for xs in draws)
 
 
 def _selftest_pooled_gap(rng):
@@ -453,10 +454,8 @@ def cmd_selftest(args):
     bb = BackboneConfig(channels=16, d_model=8)
     agg = AggregationConfig(mode="SE_F0_then_ME", n_tokens=2, heads=2, d_model=8)
     store = weights.init_params(bb, agg, args.seed)
-    b1, b2 = io.BytesIO(), io.BytesIO()
-    weights.save(store, b1)
-    weights.save(weights.load(io.BytesIO(b1.getvalue())), b2)
-    if b1.getvalue() != b2.getvalue():
+    blob = weights.save(store)
+    if weights.save(weights.load(blob)) != blob:
         failures.append("serialization round trip")
     else:
         report.append("serialization round trip: bit-exact")
@@ -515,7 +514,7 @@ def build_parser():
 
 
 def _write(stream, text):
-    """Write `text` to a standard stream and flush it: None, or the strerror of the failure."""
+    """Write `text` to a standard stream and flush it: None, or why the write failed."""
     try:
         if stream is None:  # the file descriptor was closed when the process started
             return os.strerror(errno.EBADF)
@@ -523,6 +522,8 @@ def _write(stream, text):
         stream.flush()
     except OSError as e:
         return e.strerror
+    except UnicodeEncodeError as e:  # text the stream's encoding cannot represent
+        return str(e)
     return None
 
 

@@ -241,24 +241,16 @@ def glu_gated_conv(x, kernels, bias):
     return out
 
 
-@dataclass(frozen=True)
-class GradReport:
-    max_rel_error: float
-    arg_index: int
-    flat_index: int
-
-
-def gradcheck(f, grad, xs, h=1e-5, abs_floor=1e-8) -> GradReport:
+def gradcheck(f, grad, xs, h=1e-5, abs_floor=1e-8) -> float:
     """Central-difference check of an analytic gradient.
 
     f(xs) -> scalar, grad(xs) -> list of arrays matching xs. Every
-    coordinate of every input is perturbed by +-h; the report carries the
-    worst relative error (with `abs_floor` absolute clamp) and where it
-    occurred.
+    coordinate of every input is perturbed by +-h; returns the worst
+    relative error (with `abs_floor` absolute clamp).
     """
     xs = [np.ascontiguousarray(x, dtype=np.float64) for x in xs]
     analytic = grad(xs)
-    worst, w_arg, w_flat = 0.0, -1, -1
+    worst = 0.0
     for i, x in enumerate(xs):
         flat = x.reshape(-1)
         ana = np.asarray(analytic[i]).reshape(-1)
@@ -273,6 +265,5 @@ def gradcheck(f, grad, xs, h=1e-5, abs_floor=1e-8) -> GradReport:
                 raise NonFiniteEvaluation("f non-finite at arg %d index %d" % (i, j))
             num = (fp - fm) / (2.0 * h)
             rel = abs(ana[j] - num) / max(abs(num), abs(ana[j]), abs_floor)
-            if rel > worst:
-                worst, w_arg, w_flat = rel, i, j
-    return GradReport(worst, w_arg, w_flat)
+            worst = max(worst, rel)
+    return worst

@@ -34,12 +34,6 @@ class ParamStore:
     entries: dict
     meta: dict = field(default_factory=dict)
 
-    def __getitem__(self, name):
-        try:
-            return self.entries[name]
-        except KeyError:
-            raise MissingParameter("missing parameter %r" % name) from None
-
     def names(self):
         return sorted(self.entries)
 
@@ -183,8 +177,8 @@ def check_params(store: ParamStore, bb: BackboneConfig, agg: AggregationConfig):
     _check_keys("meta", store.meta, digest, ("seed", "config"))
 
 
-def save(store: ParamStore, sink):
-    """Write the AGVW0001 container (path or binary file object)."""
+def save(store: ParamStore) -> bytes:
+    """The AGVW0001 bytes of `store`: magic, header length, JSON header, float32 payloads by name."""
     names = store.names()
     payloads = [np.ascontiguousarray(store.entries[n], dtype="<f4").tobytes() for n in names]
     header = json.dumps(
@@ -197,23 +191,17 @@ def save(store: ParamStore, sink):
         sort_keys=True,
         separators=(",", ":"),
     ).encode()
-    blob = WEIGHTS_MAGIC + struct.pack("<I", len(header)) + header + b"".join(payloads)
-    if hasattr(sink, "write"):
-        sink.write(blob)
-    else:
-        with open(sink, "wb") as f:
-            f.write(blob)
+    return WEIGHTS_MAGIC + struct.pack("<I", len(header)) + header + b"".join(payloads)
 
 
 def load(source) -> ParamStore:
-    """Read an AGVW0001 file; validates sizes before building any tensor.
+    """The store in AGVW0001 bytes, or in the file at a path; validates sizes before building any tensor.
 
-    Each tensor is a read-only float32 view into the one bytes object read,
-    so the file is held once and nothing is converted.
+    Each tensor is a read-only float32 view into those bytes, so the file
+    is held once and nothing is converted.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
+    data = source
+    if not isinstance(data, bytes):
         with open(source, "rb") as f:
             data = f.read()
     if data[:8] != WEIGHTS_MAGIC:

@@ -112,6 +112,12 @@ def write_edited(weights_file, edit, path):
     return path
 
 
+def non_ascii_weights(path):
+    """A weight file whose one tensor is named `café`: its header escapes the name, `inspect` prints it."""
+    path.write_bytes(weights.save(weights.ParamStore({"café": np.zeros(2, dtype=np.float32)})))
+    return path
+
+
 def labelled_entries(**labels):
     """The two entries of `write_emb_index` with `labels` set on the first."""
     return [
@@ -185,7 +191,7 @@ class TestInitInspect:
         (hlen,) = struct.unpack_from("<I", blob, 8)
         header = json.loads(blob[12 : 12 + hlen])
         bias = next(t for t in header["tensors"] if t["name"] == "agg.f0_enc.fc1.bias")
-        extra = weights.load(weights_file)["agg.f0_enc.fc1.bias"].astype("<f4").tobytes()
+        extra = weights.load(weights_file).entries["agg.f0_enc.fc1.bias"].astype("<f4").tobytes()
         header["tensors"].append(dict(bias))
         header["payload_bytes"] += len(extra)
         edited = json.dumps(header).encode()
@@ -366,7 +372,7 @@ class TestEmbed:
         store = weights.load(path)
         name = "backbone.proj_pooled.weight"
         store.entries[name] = np.full(store.entries[name].shape, 3e38)  # a loaded tensor is a read-only view
-        weights.save(store, path)
+        path.write_bytes(weights.save(store))
         out = tmp_path / "huge"
         capsys.readouterr()
         assert main(["embed", str(manifest), "--weights", str(path), "--out", str(out)]) == 3
@@ -675,6 +681,16 @@ class TestSimmatrixAbx:
         assert rows[0] == ["", *labels]
         assert [row[0] for row in rows[1:]] == labels
 
+    def test_non_ascii_output_under_an_ascii_locale_exit_2(self, tmp_path):
+        # standard output's encoding is ASCII, so the tensor name cannot be printed
+        src = os.path.dirname(os.path.dirname(agvoice.__file__))
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+        cmd = [sys.executable, "-m", "agvoice.cli", "inspect", "--weights", str(non_ascii_weights(tmp_path / "w.agvw"))]
+        proc = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+        err = proc.stderr.decode("utf-8", "replace")
+        assert proc.returncode == 2, err
+        assert one_line(err, "error: cannot write standard output: ") and "Traceback" not in err, err
+
     def test_utterance_matrix_is_never_held_whole(self, tmp_path, capsys):
         # d=4 so that the N×N float64 matrix (32 MB at N=2000) would dwarf the N×d rows; the rows of the
         # CSV and PGM are computed block by block as they are written, about 0.35 of it traced in all
@@ -932,18 +948,26 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert one_line(err, "error: cannot read %s: " % path) and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["simmatrix", "init"])
-    def test_write_error_names_the_target(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["simmatrix", "init", "embed_over_file", "embed_under_file"])
+    def test_write_error_names_the_target(self, tmp_path, weights_file, manifest, capsys, command):
         index = TestSimmatrixAbx.write_emb_index(tmp_path / "emb")
         prefix = tmp_path / "missing" / "out"
-        argv, target = {
-            "simmatrix": (["simmatrix", index, "--out", prefix], "%s.csv" % prefix),
-            "init": (["init", "--channels", "16", "--dmodel", "8", "--tokens", "2", "--heads", "2", "--out", prefix], prefix),
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"kept")
+        embed = ["embed", manifest, "--weights", weights_file, "--out"]
+        argv, target, code = {
+            "simmatrix": (["simmatrix", index, "--out", prefix], "%s.csv" % prefix, errno.ENOENT),
+            "init": (["init", "--channels", "16", "--dmodel", "8", "--tokens", "2", "--heads", "2", "--out", prefix],
+                     prefix, errno.ENOENT),
+            # embed's --out names a directory: an existing file, or a path under one
+            "embed_over_file": (embed + [afile], afile, errno.EEXIST),
+            "embed_under_file": (embed + [afile / "sub"], afile / "sub", errno.ENOTDIR),
         }[command]
         capsys.readouterr()
         assert main([str(a) for a in argv]) == 2
         err = capsys.readouterr().err
-        assert err == "error: cannot write %s: %s\n" % (target, os.strerror(errno.ENOENT))
+        assert err == "error: cannot write %s: %s\n" % (target, os.strerror(code))
+        assert afile.read_bytes() == b"kept"
         assert "tmp" not in err.replace(str(target), "")  # not the temp file beside it
 
     def test_keep_going_write_error_names_the_target(self, tmp_path, weights_file, manifest, capsys):
@@ -1215,6 +1239,17 @@ def test_broken_streams_keep_a_failure_code(tmp_path, weights_file, manifest, wa
         m.setattr(sys, "stdout", BrokenStream())
         m.setattr(sys, "stderr", BrokenStream())
         assert main(argv) == FAILING_CASES.get(case, 2)
+
+
+def test_unencodable_stdout_exit_2(tmp_path, monkeypatch, capsys):
+    # in-process: text that standard output's encoding cannot represent is a failed write
+    argv = ["inspect", "--weights", str(non_ascii_weights(tmp_path / "w.agvw"))]
+    capsys.readouterr()
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert one_line(err, "error: cannot write standard output: 'ascii' codec can't encode"), err
 
 
 @pytest.mark.parametrize("case", ["mel", "inspect", "missing_weights", "bad_config", "embed"])

@@ -53,7 +53,7 @@ def test_loading_a_model_imports_only_the_weight_file_code(tmp_path):
     bb = config.BackboneConfig(channels=16, d_model=8)
     agg = config.AggregationConfig(n_tokens=2, heads=2, d_model=8)
     path = tmp_path / "tiny.agvw"
-    weights.save(weights.init_params(bb, agg, 0), str(path))
+    path.write_bytes(weights.save(weights.init_params(bb, agg, 0)))
     src = os.path.dirname(os.path.dirname(agvoice.__file__))
     proc = subprocess.run([sys.executable, "-c", SETUP_SCRIPT, str(path)], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)

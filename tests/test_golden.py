@@ -8,7 +8,6 @@ fails here and has to be made on purpose.
 """
 
 import hashlib
-import io
 
 import pytest
 
@@ -54,9 +53,8 @@ WEIGHT_FILE_SHA256 = {
 @pytest.mark.parametrize("mode, splitting", sorted(WEIGHT_FILE_SHA256))
 def test_weight_file_bytes(mode, splitting):
     # desk scale (C=64, d=192), the config `agvoice init` writes without flags
-    buf = io.BytesIO()
-    save(init_params(BackboneConfig(), AggregationConfig(mode=mode, splitting=splitting), seed=7), buf)
-    assert hashlib.sha256(buf.getvalue()).hexdigest() == WEIGHT_FILE_SHA256[(mode, splitting)]
+    blob = save(init_params(BackboneConfig(), AggregationConfig(mode=mode, splitting=splitting), seed=7))
+    assert hashlib.sha256(blob).hexdigest() == WEIGHT_FILE_SHA256[(mode, splitting)]
 
 
 def test_embedding_json_bytes():

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import itertools
 import json
 import struct
@@ -37,30 +36,24 @@ def cfgs():
     return bb, agg
 
 
-def serialized(store):
-    buf = io.BytesIO()
-    save(store, buf)
-    return buf.getvalue()
-
-
 class TestInit:
     def test_same_seed_bit_identical(self, cfgs):
         a = init_params(*cfgs, seed=5)
         b = init_params(*cfgs, seed=5)
         assert a.names() == b.names()
         for name in a.names():
-            assert np.array_equal(a[name], b[name])
+            assert np.array_equal(a.entries[name], b.entries[name])
 
     def test_different_seed_differs(self, cfgs):
         a = init_params(*cfgs, seed=5)
         b = init_params(*cfgs, seed=6)
-        assert any(not np.array_equal(a[n], b[n]) for n in a.names())
+        assert any(not np.array_equal(a.entries[n], b.entries[n]) for n in a.names())
 
     def test_biases_zero(self, cfgs):
         store = init_params(*cfgs, seed=5)
         for name in store.names():
-            if store[name].ndim == 1:
-                assert not store[name].any(), name
+            if store.entries[name].ndim == 1:
+                assert not store.entries[name].any(), name
 
     def test_insertion_order_independent(self, cfgs):
         # values keyed by (seed, name), so a mode with more tensors reuses
@@ -70,15 +63,15 @@ class TestInit:
         a = init_params(bb, small, seed=9)
         b = init_params(*cfgs, seed=9)
         for name in a.names():
-            assert np.array_equal(a[name], b[name])
+            assert np.array_equal(a.entries[name], b.entries[name])
 
     def test_all_finite_and_shaped(self, cfgs):
         store = init_params(*cfgs, seed=5)
         shapes = param_shapes(*cfgs)
         assert set(store.names()) == set(shapes)
         for name, shape in shapes.items():
-            assert store[name].shape == tuple(shape)
-            assert np.isfinite(store[name]).all()
+            assert store.entries[name].shape == tuple(shape)
+            assert np.isfinite(store.entries[name]).all()
 
     def test_d_model_disagreement_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -111,42 +104,42 @@ class TestCensus:
 class TestSerialization:
     def test_resave_byte_identical(self, cfgs):
         store = init_params(*cfgs, seed=3)
-        blob = serialized(store)
-        again = serialized(load(io.BytesIO(blob)))
+        blob = save(store)
+        again = save(load(blob))
         assert blob == again
 
     def test_payload_f32_exact(self, cfgs):
         store = init_params(*cfgs, seed=3)
-        back = load(io.BytesIO(serialized(store)))
+        back = load(save(store))
         for name in store.names():
-            assert np.array_equal(back[name], store[name].astype(np.float32).astype(np.float64))
+            assert np.array_equal(back.entries[name], store.entries[name].astype(np.float32).astype(np.float64))
 
     def test_bad_magic(self):
         with pytest.raises(BadMagic):
-            load(io.BytesIO(b"NOPE0001" + b"\x00" * 32))
+            load(b"NOPE0001" + b"\x00" * 32)
 
     def test_truncated_payload(self, cfgs):
-        blob = serialized(init_params(*cfgs, seed=3))
+        blob = save(init_params(*cfgs, seed=3))
         with pytest.raises(TruncatedPayload):
-            load(io.BytesIO(blob[:-40]))
+            load(blob[:-40])
 
     def test_header_shape_mismatch(self, cfgs):
-        blob = serialized(init_params(*cfgs, seed=3))
+        blob = save(init_params(*cfgs, seed=3))
         (hlen,) = struct.unpack_from("<I", blob, 8)
         header = json.loads(blob[12 : 12 + hlen])
         header["tensors"][0]["shape"][0] += 1
         edited = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         with pytest.raises(HeaderMismatch):
-            load(io.BytesIO(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + hlen :]))
+            load(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + hlen :])
 
     def test_truncated_header(self, cfgs):
-        blob = serialized(init_params(*cfgs, seed=3))
+        blob = save(init_params(*cfgs, seed=3))
         with pytest.raises(TruncatedPayload):
-            load(io.BytesIO(blob[:20]))
+            load(blob[:20])
 
     def test_meta_survives(self, cfgs):
         store = init_params(*cfgs, seed=3)
-        back = load(io.BytesIO(serialized(store)))
+        back = load(save(store))
         assert back.meta["seed"] == 3
         assert back.meta["config"]["mode"] == "SE_F0_then_ME"
         assert back.meta["config_digest"] == store.meta["config_digest"]
@@ -161,11 +154,11 @@ def _root(arr):
 
 class TestZeroCopyLoad:
     def test_tensors_are_read_only_float32_views_of_one_buffer(self, cfgs):
-        blob = serialized(init_params(*cfgs, seed=3))
-        loaded = load(io.BytesIO(blob))
+        blob = save(init_params(*cfgs, seed=3))
+        loaded = load(blob)
         buffers = {id(_root(t)) for t in loaded.entries.values()}
         assert len(buffers) == 1
-        whole = np.frombuffer(_root(loaded["agg.tokens"]), dtype=np.uint8)
+        whole = np.frombuffer(_root(loaded.entries["agg.tokens"]), dtype=np.uint8)
         assert whole.tobytes() == blob
         for name, t in loaded.entries.items():
             assert t.dtype == np.float32, name
@@ -179,7 +172,7 @@ class TestZeroCopyLoad:
         # 3.2 s is 272 frames, more than ATTENTION_ROWS, so every attention level runs two blocks of query rows
         bb = BackboneConfig(channels=16, d_model=8)
         agg = AggregationConfig(mode=mode, splitting=splitting, scale_mode=scale_mode, n_tokens=2, heads=2, d_model=8)
-        loaded = load(io.BytesIO(serialized(init_params(bb, agg, seed=4))))
+        loaded = load(save(init_params(bb, agg, seed=4)))
         copy = ParamStore({k: v.astype(np.float64) for k, v in loaded.entries.items()}, loaded.meta)
         buf = sawtooth(150.0, seconds=3.2)
         a = extract_embedding(buf, loaded, bb, agg).vector
@@ -189,7 +182,7 @@ class TestZeroCopyLoad:
 
     def test_peak_memory_is_about_the_file(self, tmp_path):
         path = tmp_path / "desk.agvw"
-        path.write_bytes(serialized(init_params(BackboneConfig(), AggregationConfig(), seed=0)))
+        path.write_bytes(save(init_params(BackboneConfig(), AggregationConfig(), seed=0)))
         tracemalloc.start()
         try:
             store = load(path)
@@ -202,16 +195,16 @@ class TestZeroCopyLoad:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_named(self, cfgs, value):
         store = init_params(*cfgs, seed=3)
-        blob = bytearray(serialized(store))
+        blob = bytearray(save(store))
         blob[-4:] = np.array([value], dtype="<f4").tobytes()  # the last value of the last tensor by name
         with pytest.raises(InvalidConfig, match="non-finite values in %s" % store.names()[-1]):
-            load(io.BytesIO(bytes(blob)))
+            load(bytes(blob))
 
 
 def test_forward_drift_after_quantization(cfgs):
     bb, agg = cfgs
     store = init_params(bb, agg, seed=3)
-    loaded = load(io.BytesIO(serialized(store)))
+    loaded = load(save(store))
     buf = sine(220.0, seconds=0.5)
     a = extract_embedding(buf, store, bb, agg).vector
     b = extract_embedding(buf, loaded, bb, agg).vector
@@ -220,8 +213,6 @@ def test_forward_drift_after_quantization(cfgs):
 
 def test_missing_parameter_error(cfgs):
     store = init_params(*cfgs, seed=3)
-    with pytest.raises(MissingParameter):
-        store["backbone.nonexistent"]
     with pytest.raises(MissingParameter):
         param_group(store.entries, "agg")["nonexistent"]
 
