@@ -11,11 +11,12 @@ __version__ = "0.1.0"
 
 # Module -> the public names it defines.
 _EXPORTS = {
-    "aggregation": ("SpeakerEmbedding", "extract_embedding"),
+    "aggregation": ("extract_embedding",),
     "audio_io": ("AudioBuffer", "decode_wav", "resample"),
     "backbone": ("backbone_forward",),
     "config": ("AggregationConfig", "BackboneConfig"),
     "dsp": ("F0Contour", "MelSpectrogram", "mel_spectrogram", "yin_f0"),
+    "embedding": ("SpeakerEmbedding",),
     "evaluation": ("SimilarityMatrix", "abx_select", "cosine", "cross_similarity", "diagonal_dominance"),
     "weights": ("ParamStore", "check_params", "init_params", "load", "save"),
 }

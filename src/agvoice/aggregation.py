@@ -8,16 +8,22 @@ so the last level computes it directly. Every Table-3-style ablation is
 a `mode` of the same forward.
 """
 
-import json
-import struct
-from dataclasses import dataclass
-
 import numpy as np
 
 from .audio_io import CANONICAL_RATE, AudioBuffer, resample
 from .backbone import backbone_forward
 from .config import ENCODERS, AggregationConfig, BackboneConfig, config_hash
 from .dsp import F0Contour, MelSpectrogram, mel_spectrogram, yin_f0
+# the embedding formats, named here too: `embed` writes through these names, and the benchmark imports them from here
+from .embedding import (  # noqa: F401
+    EMBEDDING_MAGIC,
+    JSON_KEYS,
+    SpeakerEmbedding,
+    embedding_from_bytes,
+    embedding_from_json,
+    embedding_to_bytes,
+    embedding_to_json,
+)
 from .errors import EmptyContour, ShapeMismatch
 from .nn import (
     affine,
@@ -33,13 +39,6 @@ from .nn import (
 # Query rows per attention block in an aggregation level: a level holds at
 # most ATTENTION_ROWS x T weights instead of T x T.
 ATTENTION_ROWS = 256
-
-
-@dataclass(frozen=True)
-class SpeakerEmbedding:
-    vector: np.ndarray
-    mode: str
-    config_hash: str
 
 
 def encode_f0(contour: F0Contour, params) -> np.ndarray:
@@ -193,67 +192,3 @@ def extract_embedding(buf: AudioBuffer, store, backbone_cfg: BackboneConfig, agg
     mel, contour = front_end(buf, agg_cfg)
     del buf
     return embed_features(mel, contour, store, backbone_cfg, agg_cfg)
-
-
-EMBEDDING_MAGIC = b"AGVE0001"
-# The keys of a JSON embedding: embedding_to_json writes these, and embedding_from_json accepts no others.
-JSON_KEYS = ("config_hash", "d", "mode", "values")
-
-
-def embedding_to_json(emb: SpeakerEmbedding) -> str:
-    return json.dumps(
-        {
-            "mode": emb.mode,
-            "d": len(emb.vector),
-            "config_hash": emb.config_hash,
-            "values": [float(np.float32(v)) for v in emb.vector],
-        },
-        sort_keys=True,
-    )
-
-
-def embedding_from_json(text: str) -> SpeakerEmbedding:
-    """A JSON embedding: an object with exactly JSON_KEYS, whose `mode` and `config_hash` are strings."""
-    try:
-        obj = json.loads(text)
-    except RecursionError:
-        raise ShapeMismatch("JSON nested too deeply") from None
-    if type(obj) is not dict:
-        raise ShapeMismatch("not a JSON object")
-    unknown, missing = sorted(set(obj) - set(JSON_KEYS)), sorted(set(JSON_KEYS) - set(obj))
-    if unknown or missing:
-        raise ShapeMismatch("unknown key %r" % unknown[0] if unknown else "missing key %r" % missing[0])
-    for key in ("mode", "config_hash"):
-        if type(obj[key]) is not str:
-            raise ShapeMismatch("%r is not a string" % key)
-    values, d = obj["values"], obj["d"]
-    # json gives bool for true/false, so exact types keep them out
-    if type(values) is not list or not all(type(v) in (int, float) for v in values):
-        raise ShapeMismatch("values must be a flat list of numbers")
-    if type(d) is not int or len(values) != d:
-        raise ShapeMismatch("declared d=%r but %d values" % (d, len(values)))
-    try:
-        vec = np.array(values, dtype=np.float64)
-    except OverflowError:
-        raise ShapeMismatch("a value is too large for float64") from None
-    return SpeakerEmbedding(vec, obj["mode"], obj["config_hash"])
-
-
-def embedding_to_bytes(emb: SpeakerEmbedding) -> bytes:
-    return (
-        EMBEDDING_MAGIC
-        + struct.pack("<I", len(emb.vector))
-        + np.asarray(emb.vector, dtype="<f4").tobytes()
-    )
-
-
-def embedding_from_bytes(data: bytes) -> SpeakerEmbedding:
-    """A binary embedding; the format stores neither mode nor config hash, so both are empty."""
-    if data[:8] != EMBEDDING_MAGIC:
-        raise ShapeMismatch("bad embedding magic")
-    if len(data) < 12:
-        raise ShapeMismatch("truncated embedding header")
-    (d,) = struct.unpack_from("<I", data, 8)
-    if len(data) != 12 + 4 * d:
-        raise ShapeMismatch("embedding payload is %d bytes, d=%d needs %d" % (len(data) - 12, d, 4 * d))
-    return SpeakerEmbedding(np.frombuffer(data, dtype="<f4", offset=12).astype(np.float64), "", "")

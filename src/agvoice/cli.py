@@ -3,7 +3,7 @@
 Subcommands: init, inspect, embed, mel, f0, simmatrix, abx, selftest.
 Exit codes: 0 success, 2 input error, 3 config/weight error, 4 internal
 invariant violation. All randomness flows from --seed. Each cmd_* returns
-(exit code, standard-output text, standard-error text); `main` writes them.
+(exit code, standard-output text, standard-error lines); `main` writes them.
 """
 
 import argparse
@@ -14,24 +14,32 @@ import sys
 
 import numpy as np
 
-from . import aggregation, dsp, weights
+from . import embedding
 from .audio_io import CANONICAL_RATE, AudioBuffer, decode_wav, resample
 from .config import MODES, SCALE_MODES, AggregationConfig, BackboneConfig, config_hash, configs_from_fields
 from .errors import AgvError, ConfigError, DimMismatch, InputError, ShapeMismatch
-from .nn import gradcheck, scaled_dot_attention, attention_backward
+
+# The model's modules (aggregation, backbone, dsp, nn, weights) are imported by the commands that
+# run or load it: `simmatrix` and `abx` read embeddings with `embedding` and score them with
+# `evaluation` alone.
 
 MODE_FLAGS = {"+".join(("se",) + cues): mode for mode, cues in MODES.items()}
 # The labels a manifest line gives an utterance and its index entry carries.
 LABELS = ("utterance_id", "speaker_id", "language")
 # --format -> (file extension, writer of the file's bytes, reader of them). Each looks up its
-# aggregation function at call time, so a wrapper put on the module (perfbench's tracer) sees it.
+# function at call time, so a wrapper put on the module (perfbench's tracer) sees it: a writer on
+# the aggregation module `embed` passes it, a reader on `embedding`.
 FORMATS = {
     "json": (
         ".json",
-        lambda e: aggregation.embedding_to_json(e).encode("utf-8"),
-        lambda b: aggregation.embedding_from_json(b.decode("utf-8")),
+        lambda aggregation, e: aggregation.embedding_to_json(e).encode("utf-8"),
+        lambda b: embedding.embedding_from_json(b.decode("utf-8")),
     ),
-    "bin": (".emb", lambda e: aggregation.embedding_to_bytes(e), lambda b: aggregation.embedding_from_bytes(b)),
+    "bin": (
+        ".emb",
+        lambda aggregation, e: aggregation.embedding_to_bytes(e),
+        lambda b: embedding.embedding_from_bytes(b),
+    ),
 }
 # `embed` writes its index beside the embeddings under this name.
 INDEX_FILE = "index.json"
@@ -61,6 +69,8 @@ def _given_fields(args):
 
 def _load_model(path):
     """The tensors of a weight file and the config its header declares, checked against each other."""
+    from . import weights
+
     store = weights.load(_read_bytes(path))
     bb, agg = weights.configs_from_dict(store.meta.get("config"))
     weights.check_params(store, bb, agg)
@@ -70,10 +80,12 @@ def _load_model(path):
 def _read_bytes(path):
     """The bytes of a file the user named; a failed read names `path`."""
     try:
-        with open(path, "rb") as f:
+        with open(path, "rb", buffering=0) as f:  # unbuffered: one read into bytes of the file's size
             return f.read()
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e.strerror)) from None
+    except ValueError as e:  # a NUL in the path
+        raise InputError("cannot read %s: %s" % (path, e)) from None
 
 
 def _atomic_write(path, data):
@@ -159,13 +171,17 @@ def _read_manifest(path):
 
 
 def cmd_init(args):
+    from . import weights
+
     bb, agg = configs_from_fields(_given_fields(args))
     store = weights.init_params(bb, agg, args.seed)
     _atomic_write(args.out, weights.save(store))
-    return 0, "wrote %s (%d tensors, seed %d)\n" % (args.out, len(store.entries), args.seed), ""
+    return 0, "wrote %s (%d tensors, seed %d)\n" % (args.out, len(store.entries), args.seed), []
 
 
 def cmd_inspect(args):
+    from . import weights
+
     store = weights.load(_read_bytes(args.weights))
     lines = ["seed=%s config_digest=%s\n" % (store.meta.get("seed"), store.meta.get("config_digest"))]
     for name in store.names():
@@ -174,7 +190,7 @@ def cmd_inspect(args):
             "%-44s %-14s min=%+.6g max=%+.6g mean=%+.6g\n"
             % (name, "x".join(map(str, t.shape)), t.min(), t.max(), t.mean())
         )
-    return 0, "".join(lines), ""
+    return 0, "".join(lines), []
 
 
 def _glibc_malloc():
@@ -206,6 +222,8 @@ def cmd_embed(args):
     # imported here, not at module level: no other command starts threads or tunes malloc
     from concurrent.futures import ThreadPoolExecutor
 
+    from . import aggregation
+
     malloc_trim, mallopt = _glibc_malloc()
     n_workers = _num_threads()
     store, bb, agg = _load_model(args.weights)
@@ -229,7 +247,7 @@ def cmd_embed(args):
             # NaN fails the test too; the files store float32
             if not (np.abs(emb.vector) <= np.finfo(np.float32).max).all():
                 raise ConfigError("embedding of %s is not finite in float32; the weights overflow" % rec["utterance_id"])
-            _atomic_write(os.path.join(args.out, rec["utterance_id"] + ext), serialize(emb))
+            _atomic_write(os.path.join(args.out, rec["utterance_id"] + ext), serialize(aggregation, emb))
         except AgvError as e:
             if not args.keep_going:
                 raise
@@ -268,28 +286,36 @@ def cmd_embed(args):
         "entries": entries,
     }
     _atomic_write(os.path.join(args.out, INDEX_FILE), json.dumps(index, indent=2, sort_keys=True).encode("utf-8"))
-    skips = "".join("SKIP %s: %s\n" % (rec["utterance_id"], err)
-                    for rec, err in zip(records, outcomes) if err is not None)
+    skips = ["SKIP %s: %s" % (rec["utterance_id"], err) for rec, err in zip(records, outcomes) if err is not None]
     return 0, "embedded %d/%d utterances -> %s\n" % (len(entries), len(records), args.out), skips
 
 
 def cmd_mel(args):
+    from . import dsp
+
     mel = dsp.mel_spectrogram(resample(_read_audio(args.audio), CANONICAL_RATE))
-    return 0, dsp.mel_to_csv(mel), ""
+    return 0, dsp.mel_to_csv(mel), []
 
 
 def cmd_f0(args):
+    from . import dsp
+
     contour = dsp.yin_f0(resample(_read_audio(args.audio), CANONICAL_RATE))
-    return 0, dsp.f0_to_csv(contour), ""
+    return 0, dsp.f0_to_csv(contour), []
+
+
+def _parse_embedding(path, parse, data):
+    """`parse(data)` for the embedding file `path`; a malformed file is an InputError naming it."""
+    try:
+        return parse(data)
+    except (ShapeMismatch, ValueError) as e:
+        raise InputError("bad embedding file %s: %s" % (path, e)) from None
 
 
 def _read_embedding_file(path):
     """The embedding in a file, in the format its extension names (binary for any other), checked non-empty and finite."""
     read = next((read for ext, _, read in FORMATS.values() if path.endswith(ext)), FORMATS["bin"][2])
-    try:
-        emb = read(_read_bytes(path))
-    except (ShapeMismatch, ValueError) as e:
-        raise InputError("bad embedding file %s: %s" % (path, e)) from None
+    emb = _parse_embedding(path, read, _read_bytes(path))
     if len(emb.vector) < 1:
         raise InputError("embedding file %s holds no values (d=0)" % path)
     if not np.isfinite(emb.vector).all():
@@ -323,19 +349,31 @@ def _load_index_embeddings(index_path):
     if not isinstance(index_hash, str):
         raise InputError("index config_hash is not a string")
     entries = [_string_fields(e, ("file", *LABELS), "index entry %d" % i) for i, e in enumerate(index["entries"], 1)]
-    base = os.path.dirname(os.path.abspath(index_path))
+    base, d = os.path.dirname(os.path.abspath(index_path)), index["d"]
+    paths = [os.path.join(base, entry["file"]) for entry in entries]
+    # A JSON file is parsed and checked on its own, and only it carries a config hash. A binary
+    # file's values are copied out of its bytes and checked for finite values with all the others.
     hashes, x = [("the index", index_hash)], None
-    for i, entry in enumerate(entries):
-        emb = _read_embedding_file(os.path.join(base, entry["file"]))
-        if len(emb.vector) != index["d"]:
-            raise DimMismatch("embedding %s has d=%d, index says %d" % (entry["file"], len(emb.vector), index["d"]))
-        hashes.append((entry["file"], emb.config_hash))
+    for i, (entry, path) in enumerate(zip(entries, paths)):
+        if path.endswith(FORMATS["json"][0]):
+            emb = _read_embedding_file(path)
+            hashes.append((entry["file"], emb.config_hash))
+            row = emb.vector
+        else:
+            row = _parse_embedding(path, embedding.binary_values, _read_bytes(path))
+            if len(row) < 1:
+                raise InputError("embedding file %s holds no values (d=0)" % path)
+        if len(row) != d:
+            raise DimMismatch("embedding %s has d=%d, index says %d" % (entry["file"], len(row), d))
         if x is None:  # allocated once a file has matched d: the index's d alone could ask for any amount
-            x = np.empty((len(entries), len(emb.vector)))
-        x[i] = emb.vector
+            x = np.empty((len(entries), d))
+        x[i] = row
     _one_model(hashes)
     if len(entries) < 2:
         raise InputError("need at least 2 embeddings")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise InputError("embedding file %s holds non-finite values" % paths[int(np.argmin(finite))])
     return entries, x
 
 
@@ -373,7 +411,7 @@ def cmd_simmatrix(args):
             raise InputError("cannot write %s: %s" % (csv_path, e.strerror)) from None
 
     _atomic_write(csv_path, lambda f: _atomic_write(args.out + ".pgm", lambda pgm: one_pass(f, pgm)))
-    return 0, "diagonal_dominance %.6g\n" % dom, ""
+    return 0, "diagonal_dominance %.6g\n" % dom, []
 
 
 def cmd_abx(args):
@@ -384,11 +422,12 @@ def cmd_abx(args):
     _one_model(zip([args.reference, *args.candidates], [e.config_hash for e in (ref, *cands)]))
     idx = evaluation.abx_select(ref.vector, [c.vector for c in cands])
     stem = os.path.basename(args.candidates[idx])
-    return 0, (stem[: stem.rfind(".")] if "." in stem else stem) + "\n", ""
+    return 0, (stem[: stem.rfind(".")] if "." in stem else stem) + "\n", []
 
 
 def _selftest_gradchecks(rng):
     """Worst relative gradcheck error of attention_backward over three attention draws."""
+    from .nn import attention_backward, gradcheck, scaled_dot_attention
 
     def f(xs):
         return float(scaled_dot_attention(*xs).output.sum())
@@ -405,6 +444,8 @@ def _selftest_gradchecks(rng):
 
 def _selftest_pooled_gap(rng):
     """Largest |pooled stage - time-mean of the full stage's rows| over both scale modes, T spanning two blocks."""
+    from . import aggregation
+
     d, t = 8, aggregation.ATTENTION_ROWS + 3
     params = {w + n: rng.standard_normal((d, d) if w == "w" else d) * 0.4 for n in "qkv" for w in "wb"}
     hq, hkv = rng.standard_normal((t, d)), rng.standard_normal((t, d))
@@ -417,6 +458,8 @@ def _selftest_pooled_gap(rng):
 
 
 def cmd_selftest(args):
+    from . import dsp, weights
+
     failures, report = [], []
     rng = np.random.default_rng(args.seed)
 
@@ -461,7 +504,7 @@ def cmd_selftest(args):
         report.append("serialization round trip: bit-exact")
 
     report.append("FAIL: " + ", ".join(failures) if failures else "PASS")
-    return 4 if failures else 0, "\n".join(report) + "\n", ""
+    return 4 if failures else 0, "\n".join(report) + "\n", []
 
 
 def build_parser():
@@ -527,26 +570,37 @@ def _write(stream, text):
     return None
 
 
+# The control characters, each as its escape: a message can quote a file name or a label that
+# holds a newline or a NUL, and each standard-error line must stay one line.
+_ESCAPES = {c: "\\x%02x" % c for c in (*range(0x20), 0x7F)}
+
+
+def _stderr_text(lines):
+    """Standard-error lines as the text to write, every control character in them escaped."""
+    return "".join(line.translate(_ESCAPES) + "\n" for line in lines)
+
+
 def main(argv=None) -> int:
-    """Run a command and write the standard-output and standard-error text it returns: no command
-    writes either stream (argparse writes its usage errors and help). A failed write of either
+    """Run a command and write the standard-output text and standard-error lines it returns: no
+    command writes either stream (argparse writes its usage errors and help). Each standard-error
+    line is written as one line, its control characters escaped. A failed write of either stream
     exits 2, standard output's with one `error:` line. An error line that standard error cannot
     take is dropped, and the exit code is kept."""
     args = build_parser().parse_args(argv)
     try:
         code, out, err = args.func(args)
     except (InputError, OSError) as e:
-        code, out, err = 2, "", "error: %s\n" % e
+        code, out, err = 2, "", ["error: %s" % e]
     except ConfigError as e:
-        code, out, err = 3, "", "config error: %s\n" % e
+        code, out, err = 3, "", ["config error: %s" % e]
     except AgvError as e:
-        code, out, err = 4, "", "internal error: %s\n" % e
-    if err and _write(sys.stderr, err) and code == 0:  # embed's SKIP lines
+        code, out, err = 4, "", ["internal error: %s" % e]
+    if err and _write(sys.stderr, _stderr_text(err)) and code == 0:  # embed's SKIP lines
         code = 2
     failed = _write(sys.stdout, out) if out else None
     if failed:
         code = 2
-        _write(sys.stderr, "error: cannot write standard output: %s\n" % failed)
+        _write(sys.stderr, _stderr_text(["error: cannot write standard output: %s" % failed]))
     return code
 
 

@@ -61,7 +61,8 @@ def cosine(a, b) -> float:
 
 def cosine_rows(rows, cols, row_labels=None, col_labels=None) -> SimilarityMatrix:
     """Pairwise cosine matrix between two embedding lists, as CosineRows: no N×N array is made."""
-    u, v = _unit_rows(rows), _unit_rows(cols)
+    u = _unit_rows(rows)
+    v = u.copy() if cols is rows else _unit_rows(cols)  # a copy: see CosineRows
     if u.shape[1] != v.shape[1]:
         raise DimMismatch("row dim %d vs column dim %d" % (u.shape[1], v.shape[1]))
     return SimilarityMatrix(
@@ -102,7 +103,7 @@ def abx_select(reference, candidates) -> int:
 def _csv_field(label) -> str:
     """A label as one RFC 4180 field: quoted, inner quotes doubled, only when it needs it."""
     text = str(label)
-    if any(ch in text for ch in ',"\r\n'):
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"%s"' % text.replace('"', '""')
     return text
 
@@ -110,44 +111,42 @@ def _csv_field(label) -> str:
 # Rows of u @ v.T computed at once, and written to the PGM: a block's cells can round differently at
 # another height (OpenBLAS picks its kernels by shape), so the height is fixed and the files keep their bytes.
 CSV_BLOCK_ROWS = 32
-# Cells of a block formatted at once, in whole rows: bounds the float temporaries of _cell_slots (about
-# 180 bytes per cell) and the chunk's text to about 1.5 MB at any N.
+# Cells of a block formatted at once, in whole rows: bounds the chunk's float temporaries (about
+# 100 bytes per cell) and its text to about 1.5 MB at any N.
 CSV_CHUNK_CELLS = 8192
-# Bytes per cell in a block: an 8-byte lead word and two 4-digit words.
+# Bytes per cell in a chunk: an 8-byte lead word and two 4-digit words.
 _SLOT = 16
+# The padding byte of a slot. UTF-8 never holds it, so one translate drops it from a whole chunk, labels and all.
+_PAD = 0xFF
 
 
 def _csv_tables():
-    """The words a fast cell's text is made of, as little-endian integers.
+    """The words a fast cell's text is made of, as little-endian integers, and the scales of its digits.
 
-    `lead[(neg * 4 + zeros) * 9 + digit - 1]` is ",", "-" if `neg`, "0.",
-    `zeros` zeros and the first digit, NUL-padded to 8 bytes. `words[v]` is
-    the four digits of v; `words[10000 + v]` the same with trailing zeros NUL.
-    `pow10[k]` is 10**k, exact.
+    `lead[10 * k + first + 40 * neg]`, for k = 9..12 and first = 1..9, is ",", "-" if `neg`, "0.",
+    k - 9 zeros and the first digit, padded to 8 bytes with _PAD. `words[v]` is the four digits of v;
+    `words[10000 + v]` the same with _PAD for the trailing zeros. `scale[k]` is 10**k for k = 9..12,
+    exact, and 0 for the other k < 16.
     """
-    i = np.arange(72)
-    neg, zeros, digit = i // 36, i // 9 % 4, i % 9 + 1
-    lead = np.full((72, 8), ord("0"), np.uint8)
-    lead[:, 0] = ord(",")
-    lead[neg == 1, 1] = ord("-")
-    col = np.arange(8)
-    lead[col == neg[:, None] + 2] = ord(".")
-    last = neg + zeros + 3
-    lead[col > last[:, None]] = 0
-    lead[i, last] = ord("0") + digit
-    # words[t, a, b, c, d] spells abcd; in t=1, the zeros after the last nonzero digit are NUL
+    lead = np.full((170, 8), _PAD, np.uint8)
+    for neg in (0, 1):
+        for k in range(9, 13):
+            for first in range(1, 10):
+                text = ("," + "-" * neg + "0." + "0" * (k - 9) + str(first)).encode()
+                lead[10 * k + first + 40 * neg, : len(text)] = list(text)
+    # words[t, a, b, c, d] spells abcd; in t=1, the zeros after the last nonzero digit are _PAD
     words = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
     chars = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     words[..., 0] = chars[:, None, None, None]
     words[..., 1] = chars[:, None, None]
     words[..., 2] = chars[:, None]
     words[..., 3] = chars
-    words[1, :, :, :, 0, 3] = 0
-    words[1, :, :, 0, 0, 2] = 0
-    words[1, :, 0, 0, 0, 1] = 0
-    words[1, 0, 0, 0, 0, 0] = 0
-    pow10 = (10 ** np.arange(16, dtype=np.int64)).astype(np.float64)
-    return lead.view("<u8")[:, 0], words.reshape(20000, 4).view("<u4")[:, 0], pow10
+    words[1, :, :, :, 0, 3] = _PAD
+    words[1, :, :, 0, 0, 2] = _PAD
+    words[1, :, 0, 0, 0, 1] = _PAD
+    words[1, 0, 0, 0, 0, 0] = _PAD
+    scale = np.array([0] * 9 + [10**k for k in range(9, 13)] + [0] * 3, dtype=np.float64)
+    return lead.view("<u8")[:, 0], words.reshape(20000, 4).view("<u4")[:, 0], scale
 
 
 def _product_error(a, b, p):
@@ -162,60 +161,57 @@ def _product_error(a, b, p):
     return ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _cell_slots(x, tables):
-    """The 16-byte slots of the flat float64 cells `x`: "," and the text "%.9g" gives, NUL-padded, for
-    each cell with 1e-4 <= |x| < 1; all NUL for the others, which the returned mask marks."""
-    lead_words, digit_words, pow10 = tables
-    a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1.0)
-    a[~fast] = 0.5
-    e = np.floor(np.log10(a))
-    # nine digits, rounded as "%.9g" rounds them: on the exact product, half to even
-    b = pow10.take((8.0 - e).astype(np.intp))
-    p = a * b
-    r = np.rint(p)
-    tie = np.flatnonzero(np.abs(p - r) == 0.5)
-    if tie.size:
-        err = _product_error(a[tie], b[tie], p[tie])
-        r[tie] = np.where(err > 0, np.ceil(p[tie]), np.where(err < 0, np.floor(p[tie]), r[tie]))
-    # next to a power of ten, log10 can be off by one or the rounding carry into a tenth digit
-    slow = ~(fast & (e >= -4) & (e <= -1) & (r >= 1e8) & (r < 1e9))
-    e[slow], r[slow] = -1.0, 1e8
-    first = np.floor(r / 1e8)
-    rest = r - first * 1e8
-    high = np.floor(rest / 1e4)
-    low = rest - high * 1e4
-    slots = np.empty((len(x), 4), "<u4")
-    # lead word (neg * 4 + zeros) * 9 + first - 1, with zeros = -1 - e
-    lead = 18.0 - np.copysign(18.0, x) - 9.0 * e - 10.0 + first
-    slots.view("<u8")[:, 0] = lead_words.take(lead.astype(np.intp))
-    slots[:, 2] = digit_words.take(np.where(low == 0, high + 1e4, high).astype(np.intp))
-    slots[:, 3] = digit_words.take((low + 1e4).astype(np.intp))
-    slots[slow] = 0
-    return slots, slow
+def _csv_rows(cells, fields, tables) -> bytes:
+    """The CSV rows of the float64 rows `cells`, row i led by the encoded label field `fields[i]`.
 
-
-def _csv_rows(cells, labels, tables) -> bytes:
-    """The CSV rows of the float64 rows `cells`, each led by its label's field."""
-    n = cells.shape[1]
+    The chunk is one buffer of 16-byte slots, one per cell and one more per row. A fast cell's slot
+    holds its text and padding. Every other slot is replaced: a slow cell's by its "%.9g" text, a
+    row's last by the newline and the next row's label. One translate then drops the padding.
+    """
+    lead_words, digit_words, scale = tables
+    rows, n = cells.shape
     x = np.ascontiguousarray(cells, dtype=np.float64).ravel()
-    slots, slow = _cell_slots(x, tables)
-    # the other cells are spliced into their rows' bytes: such a cell can be 17 bytes long
-    at_slow = np.flatnonzero(slow)
-    texts = [b",%.9g" % v for v in x[at_slow].tolist()]
-    ends = (at_slow * _SLOT).tolist()
-    bounds = np.searchsorted(at_slow, np.arange(len(labels) + 1) * n).tolist()
+    # a cell outside the fast range (zero, infinite and NaN cells too) gets digits and indices that
+    # mean nothing: it is slow, its lookups are clipped into the tables, and its slot is replaced
+    with np.errstate(all="ignore"):
+        a = np.abs(x)
+        k = np.log10(a)
+        np.floor(k, out=k)
+        np.subtract(8.0, k, out=k)  # 9..12 where 1e-4 <= a < 1: nine digits in fixed point
+        b = scale.take(k.astype(np.intp), mode="clip")  # 0 for every other k, so that r = 0 below
+        # nine digits, rounded as "%.9g" rounds them: on the exact product, half to even
+        p = a * b
+        r = np.rint(p)
+        tie = np.flatnonzero(np.abs(p - r) == 0.5)
+        if tie.size:
+            err = _product_error(a[tie], b[tie], p[tie])
+            r[tie] = np.where(err > 0, np.ceil(p[tie]), np.where(err < 0, np.floor(p[tie]), r[tie]))
+        # next to a power of ten, log10 can be off by one or the rounding carry into a tenth digit
+        slow = np.flatnonzero(~((r >= 1e8) & (r < 1e9)))
+        # r = first * 1e8 + high * 1e4 + low; each quotient by 1e4 is exact before its floor
+        q = np.floor(r / 1e4)
+        low = r - q * 1e4
+        first = np.floor(q / 1e4)
+        high = q - first * 1e4
+        high[low == 0] += 1e4
+        low += 1e4
+        k *= 10.0
+        k += first
+        k += (x < 0) * 40.0
+        slots = np.empty((rows, n + 1, 4), "<u4")
+        slots.view("<u8")[:, :n, 0] = lead_words.take(k.astype(np.intp), mode="clip").reshape(rows, n)
+        slots[:, :n, 2] = digit_words.take(high.astype(np.intp), mode="clip").reshape(rows, n)
+        slots[:, :n, 3] = digit_words.take(low.astype(np.intp), mode="clip").reshape(rows, n)
+    # the replaced slots and their texts, in order: a slow cell's text can be 17 bytes long
+    replaced = np.concatenate([slow + slow // max(n, 1), np.arange(1, rows + 1) * (n + 1) - 1])
+    texts = [b",%.9g" % v for v in x[slow].tolist()] + [b"\n" + field for field in fields[1:]] + [b"\n"]
+    order = np.argsort(replaced, kind="stable")
     buf = memoryview(slots.reshape(-1).view(np.uint8))
-    lines = []
-    for i, label in enumerate(labels):
-        at, pieces = i * n * _SLOT, []
-        for k in range(bounds[i], bounds[i + 1]):
-            pieces += (buf[at : ends[k]], texts[k])
-            at = ends[k] + _SLOT
-        pieces += (buf[at : (i + 1) * n * _SLOT], b"\n")
-        # a label may hold a NUL, so only the cells go through translate
-        lines += (_csv_field(label).encode("utf-8"), b"".join(pieces).translate(None, b"\0"))
-    return b"".join(lines)
+    pieces, at = [fields[0]], 0
+    for start, i in zip((replaced[order] * _SLOT).tolist(), order.tolist()):
+        pieces += (buf[at:start], texts[i])
+        at = start + _SLOT
+    return b"".join(pieces).translate(None, bytes([_PAD]))
 
 
 def _pgm_header(m: SimilarityMatrix) -> bytes:
@@ -225,7 +221,12 @@ def _pgm_header(m: SimilarityMatrix) -> bytes:
 
 def _gray(block) -> np.ndarray:
     """PGM pixels of a block of cells: [-1, 1] mapped affinely onto [0, 255]."""
-    return np.clip(np.round((block + 1.0) * 127.5), 0, 255).astype(np.uint8)
+    g = block + 1.0
+    g *= 127.5
+    np.rint(g, out=g)
+    np.minimum(g, 255.0, out=g)
+    np.maximum(g, 0.0, out=g)
+    return g.astype(np.uint8)
 
 
 def matrix_to_csv(m: SimilarityMatrix, f, pgm=None):
@@ -244,9 +245,13 @@ def matrix_to_csv(m: SimilarityMatrix, f, pgm=None):
     most 2**-23: rint(p) is the integer nearest the exact product unless p is
     exactly an integer plus one half. Only there does the product's rounding
     error (Dekker's two-product) decide the direction; a zero error is a true
-    tie, rounded half to even as Python's correctly rounded dtoa does. Every
-    other cell, and one whose digits leave [1e8, 1e9) next to a power of ten,
-    is formatted by "%.9g" itself.
+    tie, rounded half to even as Python's correctly rounded dtoa does.
+    Next to a power of ten log10 can be off by one: a k one too large gives
+    digits of at least 1e9, and a k one too small happens only within a few
+    ulps below a power of ten, where the digits are 1e8 and "%.9g" rounds to
+    that power of ten too. A k outside [9, 12] scales by 0. Every cell whose
+    digits leave [1e8, 1e9), so every other cell, is formatted by "%.9g"
+    itself.
     """
     tables = _csv_tables()
     chunk = max(1, CSV_CHUNK_CELLS // max(1, m.values.shape[1]))
@@ -257,9 +262,9 @@ def matrix_to_csv(m: SimilarityMatrix, f, pgm=None):
         block = m.values[start : start + CSV_BLOCK_ROWS]
         if pgm is not None:
             pgm.write(_gray(block))
-        labels = m.row_labels[start : start + len(block)]
+        fields = [_csv_field(label).encode("utf-8") for label in m.row_labels[start : start + len(block)]]
         for at in range(0, len(block), chunk):
-            f.write(_csv_rows(block[at : at + chunk], labels[at : at + chunk], tables))
+            f.write(_csv_rows(block[at : at + chunk], fields[at : at + chunk], tables))
 
 
 def matrix_to_pgm(m: SimilarityMatrix, f):

@@ -8,10 +8,6 @@ from agvoice import aggregation
 from agvoice.aggregation import (
     ATTENTION_ROWS as ROWS,
     cross_attention_stage,
-    embedding_from_bytes,
-    embedding_from_json,
-    embedding_to_bytes,
-    embedding_to_json,
     encode_f0,
     encode_mel,
     extract_embedding,
@@ -22,6 +18,7 @@ from agvoice.aggregation import (
 from agvoice.backbone import backbone_forward
 from agvoice.config import MODES, AggregationConfig, BackboneConfig, config_hash
 from agvoice.dsp import F0Contour, MelSpectrogram, mel_spectrogram
+from agvoice.embedding import SpeakerEmbedding, embedding_from_bytes, embedding_from_json, embedding_to_bytes, embedding_to_json
 from agvoice.errors import EmptyContour, ShapeMismatch
 from agvoice.nn import affine, glu_gated_conv, param_group, project_qkv, relu, scaled_dot_attention
 from agvoice.weights import init_params
@@ -388,16 +385,12 @@ class TestExtractEmbedding:
 
 class TestEmbeddingSerialization:
     def test_json_roundtrip(self, rng):
-        from agvoice.aggregation import SpeakerEmbedding
-
         emb = SpeakerEmbedding(rng.standard_normal(8).astype(np.float32).astype(np.float64), "SE_F0", "ab" * 8)
         back = embedding_from_json(embedding_to_json(emb))
         assert np.array_equal(back.vector, emb.vector)
         assert back.mode == emb.mode and back.config_hash == emb.config_hash
 
     def test_binary_roundtrip(self, rng):
-        from agvoice.aggregation import SpeakerEmbedding
-
         vec = rng.standard_normal(5).astype(np.float32).astype(np.float64)
         emb = SpeakerEmbedding(vec, "SE", "00" * 8)
         blob = embedding_to_bytes(emb)
@@ -412,8 +405,6 @@ class TestEmbeddingSerialization:
 
     @pytest.mark.parametrize("cut", [-1, 1], ids=["short", "long"])
     def test_binary_length_must_be_exact(self, cut):
-        from agvoice.aggregation import SpeakerEmbedding
-
         blob = embedding_to_bytes(SpeakerEmbedding(np.ones(3), "SE", ""))
         with pytest.raises(ShapeMismatch):
             embedding_from_bytes(blob[:cut] if cut < 0 else blob + b"\0" * cut)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import agvoice
-from agvoice import aggregation, cli, evaluation, weights
+from agvoice import aggregation, cli, embedding, evaluation, weights
 from agvoice.audio_io import CANONICAL_RATE, decode_wav, resample
 from agvoice.cli import main
 from agvoice.dsp import f0_to_csv, mel_spectrogram, mel_to_csv, yin_f0
@@ -490,6 +490,16 @@ class TestEmbed:
         assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(tmp_path / "kg2")]) == 2
         assert not (tmp_path / "kg2" / "index.json").exists()
 
+    def test_keep_going_skip_stays_on_one_line(self, tmp_path, weights_file, manifest, capsys):
+        # an utterance_id and a path may hold a newline: its SKIP line escapes both
+        with open(manifest, "a") as f:
+            f.write(json.dumps({"path": "gone\n.wav", "utterance_id": "utt\nX", "speaker_id": "spkX", "language": "xx"}) + "\n")
+        out = tmp_path / "kg"
+        assert main(["embed", str(manifest), "--weights", str(weights_file), "--out", str(out), "--keep-going"]) == 0
+        err = capsys.readouterr().err
+        assert one_line(err, "SKIP utt\\x0aX: cannot read ") and "gone\\x0a.wav" in err
+        assert len(json.loads((out / "index.json").read_text())["entries"]) == 3
+
     def test_pool_stops_at_first_failure(self, tmp_path, weights_file, wav_factory, monkeypatch, capsys):
         manifest = clips_manifest(tmp_path, wav_factory, n_good=20, bad_at=0)
         monkeypatch.setenv("AGV_NUM_THREADS", "2")
@@ -698,8 +708,8 @@ class TestSimmatrixAbx:
         (tmp_path / "emb").mkdir()
         entries = []
         for i, v in enumerate(np.random.default_rng(3).standard_normal((n, d))):
-            emb = aggregation.SpeakerEmbedding(v, "SE", "")
-            (tmp_path / "emb" / ("u%d.emb" % i)).write_bytes(aggregation.embedding_to_bytes(emb))
+            emb = embedding.SpeakerEmbedding(v, "SE", "")
+            (tmp_path / "emb" / ("u%d.emb" % i)).write_bytes(embedding.embedding_to_bytes(emb))
             entries.append({"utterance_id": "u%d" % i, "speaker_id": "s%d" % (i % 20), "language": "xx", "file": "u%d.emb" % i})
         index = tmp_path / "emb" / "index.json"
         index.write_text(json.dumps({"config_hash": "", "mode": "SE", "d": d, "format": "bin", "entries": entries}))
@@ -717,8 +727,8 @@ class TestSimmatrixAbx:
         directory.mkdir()
         entries = []
         for uid, vec in (("a1", [1.0, 0.0]), ("b1", [0.0, 1.0])):
-            emb = aggregation.SpeakerEmbedding(np.array(vec), "SE", "0" * 16)
-            (directory / (uid + ".emb")).write_bytes(edit_blob(uid, aggregation.embedding_to_bytes(emb)))
+            emb = embedding.SpeakerEmbedding(np.array(vec), "SE", "0" * 16)
+            (directory / (uid + ".emb")).write_bytes(edit_blob(uid, embedding.embedding_to_bytes(emb)))
             entries.append({"utterance_id": uid, "speaker_id": uid[0], "language": "xx", "file": uid + ".emb"})
         index = {"config_hash": "0" * 16, "mode": "SE", "d": 2, "format": "bin", "entries": entries, **index_fields}
         (directory / "index.json").write_text(json.dumps({k: v for k, v in index.items() if v is not None}))
@@ -740,15 +750,17 @@ class TestSimmatrixAbx:
             (lambda uid, blob: blob, {"d": 10**12}, None),
             (lambda uid, blob: blob, {"entries": [{"file": "a1.emb"}, {"file": "b1.emb"}]}, None),
             (lambda uid, blob: blob, {"entries": ["a1.emb", "b1.emb"]}, None),
-            (lambda uid, blob: aggregation.embedding_to_bytes(
-                aggregation.SpeakerEmbedding(np.array([0.0, 1.0, 0.0]), "SE", "0" * 16)) if uid == "b1" else blob, {}, None),
+            (lambda uid, blob: embedding.embedding_to_bytes(
+                embedding.SpeakerEmbedding(np.array([0.0, 1.0, 0.0]), "SE", "0" * 16)) if uid == "b1" else blob, {}, None),
+            (lambda uid, blob: blob[:-4] + struct.pack("<f", float("nan")) if uid == "b1" else blob, {}, None),
+            (lambda uid, blob: blob[:-4] + struct.pack("<f", float("inf")) if uid == "a1" else blob, {}, "speaker"),
             # a label UTF-8 cannot encode, in the label each run writes to the CSV
             (lambda uid, blob: blob, {"entries": labelled_entries(utterance_id="a\ud800")}, None),
             (lambda uid, blob: blob, {"entries": labelled_entries(speaker_id="a\ud800")}, "speaker"),
             (lambda uid, blob: blob, {"entries": labelled_entries(language="x\udfff")}, "language"),
         ],
         ids=["truncated_emb", "truncated_emb_header", "no_entries", "no_d", "d_str", "d_huge", "entry_no_ids", "entry_not_object",
-             "entry_d_differs", "utterance_id_surrogate", "speaker_id_surrogate", "language_surrogate"],
+             "entry_d_differs", "emb_nan", "emb_inf_grouped", "utterance_id_surrogate", "speaker_id_surrogate", "language_surrogate"],
     )
     def test_bad_index_exit_2(self, tmp_path, capsys, blob_edit, index_fields, group_by):
         index = self.write_emb_index(tmp_path / "bad", blob_edit, **index_fields)
@@ -756,6 +768,16 @@ class TestSimmatrixAbx:
         assert main(["simmatrix", str(index), *group, "--out", str(tmp_path / "sim")]) == 2
         assert one_line(capsys.readouterr().err, "error: ")
         assert not (tmp_path / "sim.csv").exists()
+
+    @pytest.mark.parametrize("file, shown", [("gone\nline2.emb", "gone\\x0aline2.emb"), ("a\0b.emb", "a\\x00b.emb")],
+                             ids=["newline", "nul"])
+    def test_control_characters_in_an_entry_stay_on_one_line(self, tmp_path, capsys, file, shown):
+        # the error names the file it could not read, with the control character escaped
+        index = self.write_emb_index(tmp_path / "bad", entries=labelled_entries(file=file))
+        assert main(["simmatrix", str(index), "--out", str(tmp_path / "sim")]) == 2
+        err = capsys.readouterr().err
+        assert one_line(err, "error: cannot read ") and shown in err
+        assert "\0" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "text",
@@ -848,7 +870,7 @@ class TestSimmatrixAbx:
     )
     def test_zero_length_embedding_exit_2(self, tmp_path, capsys, monkeypatch, argv):
         # a 12-byte .emb holds d=0 and no values; with the index's d=0 it used to crash the scoring
-        empty = aggregation.embedding_to_bytes(aggregation.SpeakerEmbedding(np.zeros(0), "SE", ""))
+        empty = embedding.embedding_to_bytes(embedding.SpeakerEmbedding(np.zeros(0), "SE", ""))
         self.write_emb_index(tmp_path / "emb", lambda uid, blob: empty, d=0)
         monkeypatch.chdir(tmp_path / "emb")
         capsys.readouterr()
@@ -1100,20 +1122,22 @@ def test_no_command_loads_openssl(tmp_path, weights_file, manifest):
     assert proc.stderr == "False\n"
 
 
-# The commands that start no threads, in a fresh interpreter; prints what each had loaded when it
+# The commands that start no threads, in a fresh interpreter, the scoring commands first; prints
+# which of the model's modules, the scoring code and the thread pool each had loaded when it
 # returned. `embed` is left out: it imports concurrent.futures for its pool.
 NO_POOL_SCRIPT = """
 import sys
 from agvoice.cli import main
 
+watched = ["agvoice." + m for m in ("aggregation", "backbone", "dsp", "nn", "weights", "evaluation")]
 for argv in (
-    "inspect --weights desk.agvw",
     "simmatrix emb/index.json --out sim",
     "simmatrix emb/index.json --group-by speaker --out grouped",
     "abx --reference emb/utt0.json emb/utt1.json emb/utt2.json",
+    "inspect --weights desk.agvw",
 ):
     assert main(argv.split()) == 0, argv
-    print(argv.split()[0], *(m for m in ("agvoice.evaluation", "concurrent.futures") if m in sys.modules), file=sys.stderr)
+    print(argv.split()[0], *(m for m in watched + ["concurrent.futures"] if m in sys.modules), file=sys.stderr)
 """
 
 
@@ -1123,8 +1147,13 @@ def test_only_embed_imports_the_thread_pool(tmp_path, weights_file, manifest):
     proc = subprocess.run([sys.executable, "-c", NO_POOL_SCRIPT], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    # evaluation is imported by the first command that scores
-    assert proc.stderr.splitlines() == ["inspect", *["simmatrix agvoice.evaluation"] * 2, "abx agvoice.evaluation"]
+    # simmatrix and abx read embeddings with agvoice.embedding and score them with agvoice.evaluation:
+    # none of the model's modules is loaded; inspect loads only the weight-file code besides
+    assert proc.stderr.splitlines() == [
+        *["simmatrix agvoice.evaluation"] * 2,
+        "abx agvoice.evaluation",
+        "inspect agvoice.weights agvoice.evaluation",
+    ]
 
 
 # a standard stream given to run_module as CLOSED has its file descriptor closed before exec

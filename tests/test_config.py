@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import agvoice
-from agvoice import aggregation, backbone, config, dsp, weights
+from agvoice import aggregation, backbone, config, dsp, embedding, weights
 
 # The benchmark's set-up steps: load a weight file and check it against the config it declares.
 # Prints the modules of the signal, attention, scoring and CLI code it had loaded by then.
@@ -23,30 +23,31 @@ heavy = ["agvoice." + m for m in ("aggregation", "audio_io", "backbone", "dsp", 
 print(*(m for m in heavy + ["concurrent.futures"] if m in sys.modules))
 """
 
-PUBLIC = [
-    "AggregationConfig",
-    "AudioBuffer",
-    "BackboneConfig",
-    "F0Contour",
-    "MelSpectrogram",
-    "ParamStore",
-    "SimilarityMatrix",
-    "SpeakerEmbedding",
-    "abx_select",
-    "backbone_forward",
-    "check_params",
-    "cosine",
-    "cross_similarity",
-    "decode_wav",
-    "diagonal_dominance",
-    "extract_embedding",
-    "init_params",
-    "load",
-    "mel_spectrogram",
-    "resample",
-    "save",
-    "yin_f0",
-]
+# Each public name of the package -> the module that defines it.
+PUBLIC = {
+    "AggregationConfig": "config",
+    "AudioBuffer": "audio_io",
+    "BackboneConfig": "config",
+    "F0Contour": "dsp",
+    "MelSpectrogram": "dsp",
+    "ParamStore": "weights",
+    "SimilarityMatrix": "evaluation",
+    "SpeakerEmbedding": "embedding",
+    "abx_select": "evaluation",
+    "backbone_forward": "backbone",
+    "check_params": "weights",
+    "cosine": "evaluation",
+    "cross_similarity": "evaluation",
+    "decode_wav": "audio_io",
+    "diagonal_dominance": "evaluation",
+    "extract_embedding": "aggregation",
+    "init_params": "weights",
+    "load": "weights",
+    "mel_spectrogram": "dsp",
+    "resample": "audio_io",
+    "save": "weights",
+    "yin_f0": "dsp",
+}
 
 
 def test_loading_a_model_imports_only_the_weight_file_code(tmp_path):
@@ -62,9 +63,10 @@ def test_loading_a_model_imports_only_the_weight_file_code(tmp_path):
 
 
 def test_public_names_are_their_home_modules_objects():
-    assert agvoice.__all__ == PUBLIC
-    for name in PUBLIC:
+    assert agvoice.__all__ == sorted(PUBLIC)
+    for name, home in PUBLIC.items():
         obj = getattr(agvoice, name)
+        assert obj.__module__ == "agvoice." + home, name
         assert getattr(importlib.import_module(obj.__module__), name) is obj, name
     assert set(PUBLIC) <= set(dir(agvoice))
     assert "__version__" in dir(agvoice)
@@ -80,3 +82,11 @@ def test_each_config_definition_lives_in_config():
     assert dsp.N_MELS is config.N_MELS
     assert config.AggregationConfig.__module__ == "agvoice.config"
     assert config.BackboneConfig.__module__ == "agvoice.config"
+
+
+def test_the_embedding_formats_live_in_embedding():
+    # aggregation names them too: embed writes through them, and the benchmark imports them from there
+    for name in ("SpeakerEmbedding", "EMBEDDING_MAGIC", "JSON_KEYS", "embedding_from_bytes", "embedding_from_json",
+                 "embedding_to_bytes", "embedding_to_json"):
+        assert getattr(aggregation, name) is getattr(embedding, name), name
+    assert embedding.SpeakerEmbedding.__module__ == "agvoice.embedding"

@@ -195,7 +195,7 @@ class TestExports:
         assert [row[0] for row in rows[1:]] == labels
 
     def test_csv_is_utf8_bytes(self, rng):
-        # every byte of a label is kept, a NUL too: only the cells are built with NUL padding
+        # every byte of a label is kept, a NUL too: only the cells are built with padding
         labels = ["ü0", "日本", "a,b", "n\0l"]
         fields = ["ü0", "日本", '"a,b"', "n\0l"]
         values = rng.uniform(-1.0, 1.0, (4, 4))
@@ -386,3 +386,85 @@ class TestOnePass:
         finally:
             tracemalloc.stop()
         assert peak < 3e6
+
+
+def pgm_oracle(values):
+    """The PGM of `values`: each cell mapped onto [0, 255] by one expression over the whole matrix."""
+    h, w = values.shape
+    return b"P5\n%d %d\n255\n" % (w, h) + np.clip(np.round((values + 1.0) * 127.5), 0, 255).astype(np.uint8).tobytes()
+
+
+def one_pass(m):
+    """The CSV and PGM bytes matrix_to_csv writes for `m` in one pass."""
+    f, pgm = io.BytesIO(), io.BytesIO()
+    matrix_to_csv(m, f, pgm)
+    return f.getvalue(), pgm.getvalue()
+
+
+def chunk_spans(n_rows, chunk):
+    """(first row, end row) of each chunk matrix_to_csv formats: whole rows, restarting at each block."""
+    return [
+        (start + at, min(start + at + chunk, start + CSV_BLOCK_ROWS, n_rows))
+        for start in range(0, n_rows, CSV_BLOCK_ROWS)
+        for at in range(0, min(CSV_BLOCK_ROWS, n_rows - start), chunk)
+    ]
+
+
+class TestChunks:
+    """Each chunk of a block is one buffer of slots, padding dropped by one translate, with the slow
+    cells and the row labels put in between: its CSV and PGM bytes against the "%.9g" oracle."""
+
+    SLOW = [0.0, 1.0, -1.0, 1e-5, -1e-5]
+
+    def test_chunk_edges_inside_a_block(self, rng):
+        # 1638 columns: chunks of 5 rows, so chunk edges fall inside each block and a block ends in a 2-row chunk
+        n = CSV_CHUNK_CELLS // 5
+        values = rng.uniform(-1.0, 1.0, (2 * CSV_BLOCK_ROWS + 3, n))
+        spans = chunk_spans(len(values), CSV_CHUNK_CELLS // n)
+        assert CSV_CHUNK_CELLS // n == 5 and (CSV_BLOCK_ROWS - 2, CSV_BLOCK_ROWS) in spans
+        # a slow cell is the first and the last cell of every chunk
+        for i, (first, end) in enumerate(spans):
+            values[first, 0] = self.SLOW[i % len(self.SLOW)]
+            values[end - 1, -1] = self.SLOW[(i + 2) % len(self.SLOW)]
+        assert csv_mismatch(values) is None
+        m = SimilarityMatrix(values, list(range(len(values))), list(range(n)))
+        assert one_pass(m) == (oracle_csv(values).encode("utf-8"), pgm_oracle(values))
+
+    def test_within_ulps_of_a_power_of_ten(self):
+        # where log10 can be off by one, or the scale table's range ends: 200 ulps on each side of 10**e
+        cells = []
+        for e in range(-6, 1):
+            for toward in (0.0, 1.0):
+                v = 10.0**e
+                for _ in range(200):
+                    cells.append(v)
+                    v = np.nextafter(v, toward)
+        values = np.array(cells + [-c for c in cells]).reshape(-1, 100)
+        assert csv_mismatch(values) is None
+
+    def test_every_cell_of_a_chunk_slow(self):
+        values = np.resize(self.SLOW, (CSV_BLOCK_ROWS + 1, 7))
+        assert csv_mismatch(values) is None
+
+    def test_labels_with_a_nul(self, rng):
+        # a NUL and "\xff" (UTF-8 C3 BF) in labels at the start, inside and at the end of chunks
+        n = CSV_CHUNK_CELLS // 3
+        labels = ["r%d" % i for i in range(CSV_BLOCK_ROWS + 1)]
+        for i in (0, 1, 2, 3, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS):
+            labels[i] = "\0" * (i % 2) + "n\0l\xff%d" % i
+        values = rng.uniform(-1.0, 1.0, (len(labels), n))
+        values[3, 0] = 1.0
+        cols = ["c\0%d" % j for j in range(n)]
+        text = "," + ",".join(cols) + "\n" + "".join(f + loop_csv_row(row) + "\n" for f, row in zip(labels, values))
+        assert one_pass(SimilarityMatrix(values, labels, cols)) == (text.encode("utf-8"), pgm_oracle(values))
+
+    @pytest.mark.parametrize("n", [1, 2, 33, 2500])
+    def test_cosine_matrix(self, rng, n):
+        x = rng.standard_normal((n, 16))
+        m = cosine_rows(x, x)
+        # the oracle formats the same 32-row products the writer is given
+        values = np.concatenate([m.values[start : start + CSV_BLOCK_ROWS] for start in range(0, n, CSV_BLOCK_ROWS)])
+        csv_bytes, pgm_bytes = one_pass(m)
+        assert pgm_bytes == pgm_oracle(values)
+        if csv_bytes != oracle_csv(values).encode("utf-8"):
+            assert csv_mismatch(values) is None

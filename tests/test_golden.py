@@ -11,8 +11,9 @@ import hashlib
 
 import pytest
 
-from agvoice.aggregation import embedding_to_json, extract_embedding
+from agvoice.aggregation import extract_embedding
 from agvoice.config import AggregationConfig, BackboneConfig, config_hash
+from agvoice.embedding import embedding_to_json
 from agvoice.weights import init_params, save
 from conftest import sine
 
