@@ -14,16 +14,9 @@ from .audio_io import CANONICAL_RATE, AudioBuffer, resample
 from .backbone import backbone_forward
 from .config import ENCODERS, AggregationConfig, BackboneConfig, config_hash
 from .dsp import F0Contour, MelSpectrogram, mel_spectrogram, yin_f0
-# the embedding formats, named here too: `embed` writes through these names, and the benchmark imports them from here
-from .embedding import (  # noqa: F401
-    EMBEDDING_MAGIC,
-    JSON_KEYS,
-    SpeakerEmbedding,
-    embedding_from_bytes,
-    embedding_from_json,
-    embedding_to_bytes,
-    embedding_to_json,
-)
+# The writers and the binary reader are named here too, for the benchmark: its tracer wraps them on
+# this module (`embed` looks its writers up here), and its workload code imports them from here.
+from .embedding import SpeakerEmbedding, embedding_from_bytes, embedding_to_bytes, embedding_to_json  # noqa: F401
 from .errors import EmptyContour, ShapeMismatch
 from .nn import (
     affine,
