@@ -149,18 +149,6 @@ def _csv_tables():
     return lead.view("<u8")[:, 0], words.reshape(20000, 4).view("<u4")[:, 0], scale
 
 
-def _product_error(a, b, p):
-    """a*b - p exactly, where p = fl(a*b): Dekker's two-product (numpy has no fma)."""
-
-    def split(v):
-        c = v * 134217729.0  # 2**27 + 1
-        hi = c - (c - v)
-        return hi, v - hi
-
-    (ah, al), (bh, bl) = split(a), split(b)
-    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def _csv_rows(cells, fields, tables) -> bytes:
     """The CSV rows of the float64 rows `cells`, row i led by the encoded label field `fields[i]`.
 
@@ -179,15 +167,12 @@ def _csv_rows(cells, fields, tables) -> bytes:
         np.floor(k, out=k)
         np.subtract(8.0, k, out=k)  # 9..12 where 1e-4 <= a < 1: nine digits in fixed point
         b = scale.take(k.astype(np.intp), mode="clip")  # 0 for every other k, so that r = 0 below
-        # nine digits, rounded as "%.9g" rounds them: on the exact product, half to even
+        # nine digits in r, the integer nearest the exact product unless p is an integer plus one
+        # half. Such a cell is slow, and so is one whose digits leave [1e8, 1e9): log10 off by one
+        # next to a power of ten, or the rounding carried into a tenth digit
         p = a * b
         r = np.rint(p)
-        tie = np.flatnonzero(np.abs(p - r) == 0.5)
-        if tie.size:
-            err = _product_error(a[tie], b[tie], p[tie])
-            r[tie] = np.where(err > 0, np.ceil(p[tie]), np.where(err < 0, np.floor(p[tie]), r[tie]))
-        # next to a power of ten, log10 can be off by one or the rounding carry into a tenth digit
-        slow = np.flatnonzero(~((r >= 1e8) & (r < 1e9)))
+        slow = np.flatnonzero(~((r >= 1e8) & (r < 1e9) & (np.abs(p - r) != 0.5)))
         # r = first * 1e8 + high * 1e4 + low; each quotient by 1e4 is exact before its floor
         q = np.floor(r / 1e4)
         low = r - q * 1e4
@@ -242,10 +227,10 @@ def matrix_to_csv(m: SimilarityMatrix, f, pgm=None):
     trailing zeros cut. The digits are the integer nearest x * 10**k, with
     k = 8 - floor(log10|x|) in [9, 12]. 10**k is exact, so the float product
     p is within half an ulp of the exact one, and an ulp of p < 1e9 is at
-    most 2**-23: rint(p) is the integer nearest the exact product unless p is
-    exactly an integer plus one half. Only there does the product's rounding
-    error (Dekker's two-product) decide the direction; a zero error is a true
-    tie, rounded half to even as Python's correctly rounded dtoa does.
+    most 2**-23, so every integer plus one half below 1e9 is a float: no such
+    half lies between p and the exact product, and rint(p) is the integer
+    nearest the exact product unless p is exactly an integer plus one half.
+    There the exact product may lie on either side, so the cell is slow.
     Next to a power of ten log10 can be off by one: a k one too large gives
     digits of at least 1e9, and a k one too small happens only within a few
     ulps below a power of ten, where the digits are 1e8 and "%.9g" rounds to

@@ -466,5 +466,4 @@ class TestChunks:
         values = np.concatenate([m.values[start : start + CSV_BLOCK_ROWS] for start in range(0, n, CSV_BLOCK_ROWS)])
         csv_bytes, pgm_bytes = one_pass(m)
         assert pgm_bytes == pgm_oracle(values)
-        if csv_bytes != oracle_csv(values).encode("utf-8"):
-            assert csv_mismatch(values) is None
+        assert csv_bytes == oracle_csv(values).encode("utf-8"), csv_mismatch(values)
