@@ -351,18 +351,19 @@ def _load_index_embeddings(index_path):
     entries = [_string_fields(e, ("file", *LABELS), "index entry %d" % i) for i, e in enumerate(index["entries"], 1)]
     base, d = os.path.dirname(os.path.abspath(index_path)), index["d"]
     paths = [os.path.join(base, entry["file"]) for entry in entries]
-    # A JSON file is parsed and checked on its own, and only it carries a config hash. A binary
-    # file's values are copied out of its bytes and checked for finite values with all the others.
+    # Only a JSON file carries a config hash; a binary file's values are read in place. Every row is
+    # checked for finite values with all the others, once the matrix is full.
     hashes, x = [("the index", index_hash)], None
     for i, (entry, path) in enumerate(zip(entries, paths)):
+        data = _read_bytes(path)
         if path.endswith(FORMATS["json"][0]):
-            emb = _read_embedding_file(path)
+            emb = _parse_embedding(path, FORMATS["json"][2], data)
             hashes.append((entry["file"], emb.config_hash))
             row = emb.vector
         else:
-            row = _parse_embedding(path, embedding.binary_values, _read_bytes(path))
-            if len(row) < 1:
-                raise InputError("embedding file %s holds no values (d=0)" % path)
+            row = _parse_embedding(path, embedding.binary_values, data)
+        if len(row) < 1:
+            raise InputError("embedding file %s holds no values (d=0)" % path)
         if len(row) != d:
             raise DimMismatch("embedding %s has d=%d, index says %d" % (entry["file"], len(row), d))
         if x is None:  # allocated once a file has matched d: the index's d alone could ask for any amount

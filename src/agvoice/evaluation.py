@@ -61,8 +61,7 @@ def cosine(a, b) -> float:
 
 def cosine_rows(rows, cols, row_labels=None, col_labels=None) -> SimilarityMatrix:
     """Pairwise cosine matrix between two embedding lists, as CosineRows: no N×N array is made."""
-    u = _unit_rows(rows)
-    v = u.copy() if cols is rows else _unit_rows(cols)  # a copy: see CosineRows
+    u, v = _unit_rows(rows), _unit_rows(cols)
     if u.shape[1] != v.shape[1]:
         raise DimMismatch("row dim %d vs column dim %d" % (u.shape[1], v.shape[1]))
     return SimilarityMatrix(
@@ -206,12 +205,7 @@ def _pgm_header(m: SimilarityMatrix) -> bytes:
 
 def _gray(block) -> np.ndarray:
     """PGM pixels of a block of cells: [-1, 1] mapped affinely onto [0, 255]."""
-    g = block + 1.0
-    g *= 127.5
-    np.rint(g, out=g)
-    np.minimum(g, 255.0, out=g)
-    np.maximum(g, 0.0, out=g)
-    return g.astype(np.uint8)
+    return np.clip(np.round((block + 1.0) * 127.5), 0, 255).astype(np.uint8)
 
 
 def matrix_to_csv(m: SimilarityMatrix, f, pgm=None):
