@@ -102,7 +102,7 @@ def abx_select(reference, candidates) -> int:
 def _csv_field(label) -> str:
     """A label as one RFC 4180 field: quoted, inner quotes doubled, only when it needs it."""
     text = str(label)
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
+    if any(ch in text for ch in ',"\r\n'):
         return '"%s"' % text.replace('"', '""')
     return text
 
