@@ -26,20 +26,11 @@ from .errors import AgvError, ConfigError, DimMismatch, InputError, ShapeMismatc
 MODE_FLAGS = {"+".join(("se",) + cues): mode for mode, cues in MODES.items()}
 # The labels a manifest line gives an utterance and its index entry carries.
 LABELS = ("utterance_id", "speaker_id", "language")
-# --format -> (file extension, writer of the file's bytes, reader of them). Each looks up its
-# function at call time, so a wrapper put on the module (perfbench's tracer) sees it: a writer on
-# the aggregation module `embed` passes it, a reader on `embedding`.
+# --format -> (file extension, writer of the file's bytes). The writer looks up its function on the
+# aggregation module `embed` passes it at call time, so a wrapper put there (perfbench's tracer) sees it.
 FORMATS = {
-    "json": (
-        ".json",
-        lambda aggregation, e: aggregation.embedding_to_json(e).encode("utf-8"),
-        lambda b: embedding.embedding_from_json(b.decode("utf-8")),
-    ),
-    "bin": (
-        ".emb",
-        lambda aggregation, e: aggregation.embedding_to_bytes(e),
-        lambda b: embedding.embedding_from_bytes(b),
-    ),
+    "json": (".json", lambda aggregation, e: aggregation.embedding_to_json(e).encode("utf-8")),
+    "bin": (".emb", lambda aggregation, e: aggregation.embedding_to_bytes(e)),
 }
 # `embed` writes its index beside the embeddings under this name.
 INDEX_FILE = "index.json"
@@ -228,7 +219,7 @@ def cmd_embed(args):
     n_workers = _num_threads()
     store, bb, agg = _load_model(args.weights)
     records = _read_manifest(args.manifest)
-    ext, serialize, _ = FORMATS[args.format]
+    ext, serialize = FORMATS[args.format]
     for rec in records:
         if rec["utterance_id"] + ext == INDEX_FILE:
             raise InputError("utterance_id %r would be written over the index, %s" % (rec["utterance_id"], INDEX_FILE))
@@ -304,25 +295,6 @@ def cmd_f0(args):
     return 0, dsp.f0_to_csv(contour), []
 
 
-def _parse_embedding(path, parse, data):
-    """`parse(data)` for the embedding file `path`; a malformed file is an InputError naming it."""
-    try:
-        return parse(data)
-    except (ShapeMismatch, ValueError) as e:
-        raise InputError("bad embedding file %s: %s" % (path, e)) from None
-
-
-def _read_embedding_file(path):
-    """The embedding in a file, in the format its extension names (binary for any other), checked non-empty and finite."""
-    read = next((read for ext, _, read in FORMATS.values() if path.endswith(ext)), FORMATS["bin"][2])
-    emb = _parse_embedding(path, read, _read_bytes(path))
-    if len(emb.vector) < 1:
-        raise InputError("embedding file %s holds no values (d=0)" % path)
-    if not np.isfinite(emb.vector).all():
-        raise InputError("embedding file %s holds non-finite values" % path)
-    return emb
-
-
 def _one_model(named_hashes):
     """Refuse (name, config_hash) pairs whose non-empty hashes differ: cosines across configs mean nothing.
 
@@ -333,6 +305,42 @@ def _one_model(named_hashes):
     for name, h in known[1:]:
         if h != known[0][1]:
             raise InputError("%s has config_hash %s, %s has %s: embeddings of different models" % (name, h, *known[0]))
+
+
+def _read_embeddings(named_paths, d=None):
+    """The embeddings in (name, path) pairs, at least one, as the rows of one float64 matrix, and the
+    (name, config_hash) pair of each JSON file. A `.json` file is read as JSON and any other as
+    binary, whose values are read in place and which carries no hash.
+
+    Each file must hold `d` values, or as many as the first file when `d` is None. Every row is
+    checked for finite values with all the others, once the matrix is full.
+    """
+    says = None if d is None else "index says %d" % d
+    hashes, x = [], None
+    for i, (name, path) in enumerate(named_paths):
+        data = _read_bytes(path)
+        try:
+            if path.endswith(FORMATS["json"][0]):
+                emb = embedding.embedding_from_json(data.decode("utf-8"))
+                hashes.append((name, emb.config_hash))
+                row = emb.vector
+            else:
+                row = embedding.binary_values(data)
+        except (ShapeMismatch, ValueError) as e:
+            raise InputError("bad embedding file %s: %s" % (path, e)) from None
+        if len(row) < 1:
+            raise InputError("embedding file %s holds no values (d=0)" % path)
+        if d is None:
+            d, says = len(row), "%s has d=%d" % (name, len(row))
+        if len(row) != d:
+            raise DimMismatch("embedding %s has d=%d, %s" % (name, len(row), says))
+        if x is None:  # allocated once a file has matched d: an index's d alone could ask for any amount
+            x = np.empty((len(named_paths), d))
+        x[i] = row
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise InputError("embedding file %s holds non-finite values" % named_paths[int(np.argmin(finite))][1])
+    return x, hashes
 
 
 def _load_index_embeddings(index_path):
@@ -349,32 +357,11 @@ def _load_index_embeddings(index_path):
     if not isinstance(index_hash, str):
         raise InputError("index config_hash is not a string")
     entries = [_string_fields(e, ("file", *LABELS), "index entry %d" % i) for i, e in enumerate(index["entries"], 1)]
-    base, d = os.path.dirname(os.path.abspath(index_path)), index["d"]
-    paths = [os.path.join(base, entry["file"]) for entry in entries]
-    # Only a JSON file carries a config hash; a binary file's values are read in place. Every row is
-    # checked for finite values with all the others, once the matrix is full.
-    hashes, x = [("the index", index_hash)], None
-    for i, (entry, path) in enumerate(zip(entries, paths)):
-        data = _read_bytes(path)
-        if path.endswith(FORMATS["json"][0]):
-            emb = _parse_embedding(path, FORMATS["json"][2], data)
-            hashes.append((entry["file"], emb.config_hash))
-            row = emb.vector
-        else:
-            row = _parse_embedding(path, embedding.binary_values, data)
-        if len(row) < 1:
-            raise InputError("embedding file %s holds no values (d=0)" % path)
-        if len(row) != d:
-            raise DimMismatch("embedding %s has d=%d, index says %d" % (entry["file"], len(row), d))
-        if x is None:  # allocated once a file has matched d: the index's d alone could ask for any amount
-            x = np.empty((len(entries), d))
-        x[i] = row
-    _one_model(hashes)
     if len(entries) < 2:
         raise InputError("need at least 2 embeddings")
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        raise InputError("embedding file %s holds non-finite values" % paths[int(np.argmin(finite))])
+    base = os.path.dirname(os.path.abspath(index_path))
+    x, hashes = _read_embeddings([(e["file"], os.path.join(base, e["file"])) for e in entries], index["d"])
+    _one_model([("the index", index_hash), *hashes])
     return entries, x
 
 
@@ -418,10 +405,10 @@ def cmd_simmatrix(args):
 def cmd_abx(args):
     from . import evaluation
 
-    ref = _read_embedding_file(args.reference)
-    cands = [_read_embedding_file(p) for p in args.candidates]
-    _one_model(zip([args.reference, *args.candidates], [e.config_hash for e in (ref, *cands)]))
-    idx = evaluation.abx_select(ref.vector, [c.vector for c in cands])
+    paths = [args.reference, *args.candidates]
+    x, hashes = _read_embeddings(list(zip(paths, paths)))
+    _one_model(hashes)
+    idx = evaluation.abx_select(x[0], x[1:])
     stem = os.path.basename(args.candidates[idx])
     return 0, (stem[: stem.rfind(".")] if "." in stem else stem) + "\n", []
 

@@ -739,6 +739,15 @@ class TestSimmatrixAbx:
         assert main(["simmatrix", str(index), "--out", str(tmp_path / "sim")]) == 0
         assert "diagonal_dominance 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_entries_exit_2(self, tmp_path, capsys, n):
+        # nothing to score: refused before any embedding file is read or any matrix allocated
+        index = self.write_emb_index(tmp_path / "emb", entries=labelled_entries()[:n])
+        capsys.readouterr()
+        assert main(["simmatrix", str(index), "--out", str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr() == ("", "error: need at least 2 embeddings\n")
+        assert not (tmp_path / "sim.csv").exists()
+
     @pytest.mark.parametrize(
         "blob_edit, index_fields, group_by",
         [
@@ -842,16 +851,17 @@ class TestSimmatrixAbx:
         assert not (tmp_path / "sim.csv").exists()
 
     @pytest.mark.parametrize(
-        "zero_file, argv",
+        "zero_file, argv, shown",
         [
-            ("z.json", ["abx", "--reference", "a1.json", "b1.json"]),
-            ("z.json", ["abx", "--reference", "a1.json", "b1.json", "d3.json"]),
-            ("z.json", ["abx", "--reference", "z.json", "a1.json", "b1.json"]),
-            ("b2.json", ["simmatrix", "index.json", "--out", "sim"]),
+            ("z.json", ["abx", "--reference", "a1.json", "b1.json"], ""),
+            # the error names the file whose d differs from the reference's
+            ("z.json", ["abx", "--reference", "a1.json", "b1.json", "d3.json"], "d3.json"),
+            ("z.json", ["abx", "--reference", "z.json", "a1.json", "b1.json"], ""),
+            ("b2.json", ["simmatrix", "index.json", "--out", "sim"], ""),
         ],
         ids=["abx_one_candidate", "abx_unequal_d", "abx_zero_vector", "simmatrix_zero_vector"],
     )
-    def test_bad_embeddings_exit_2(self, index_dir, capsys, monkeypatch, zero_file, argv):
+    def test_bad_embeddings_exit_2(self, index_dir, capsys, monkeypatch, zero_file, argv, shown):
         def write(name, values):
             (index_dir / name).write_text(json.dumps({"mode": "SE", "d": len(values), "config_hash": "0" * 16, "values": values}))
 
@@ -860,7 +870,8 @@ class TestSimmatrixAbx:
         monkeypatch.chdir(index_dir)
         capsys.readouterr()
         assert main(argv) == 2
-        assert one_line(capsys.readouterr().err, "error: ")
+        err = capsys.readouterr().err
+        assert one_line(err, "error: ") and shown in err
         assert not (index_dir / "sim.csv").exists()
 
     @pytest.mark.parametrize(
