@@ -28,12 +28,9 @@ from .nn import (
     param_group,
     project_qkv,
     relu,
+    row_blocks,
     scaled_dot_attention,
 )
-
-# Query rows per attention block in an aggregation level: a level holds at
-# most ATTENTION_ROWS x T weights instead of T x T.
-ATTENTION_ROWS = 256
 
 
 def encode_f0(contour: F0Contour, params) -> np.ndarray:
@@ -80,10 +77,10 @@ def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt", pooled=False
     """One aggregation level: project q/k/v, attend, no residual.
 
     Both inputs must have the same frame count T. The scores are computed
-    in blocks of ATTENTION_ROWS query rows against all of K; each row's
-    softmax sees every key, so each output row is the dense kernel's (up
-    to BLAS rounding) while only ATTENTION_ROWS x T weights exist at a
-    time.
+    one row block of queries (`row_blocks`) at a time against all of K;
+    each row's softmax sees every key, so each output row is the dense
+    kernel's (up to BLAS rounding) while at most BLOCK_ROWS x T weights
+    exist at a time.
 
     Returns (output, None); the T x T weights are never held, so there is
     no trace to return. The output is T x d, or with `pooled` the 1 x d
@@ -96,14 +93,14 @@ def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt", pooled=False
     if pooled:
         q, k = project_qkv((h_query, h_kv), params)  # two inputs: Q and K only
         col = np.zeros(k.shape[0])
-        for i in range(0, q.shape[0], ATTENTION_ROWS):
-            col += _column_sums(q[i : i + ATTENTION_ROWS], k, scale_mode)
+        for s in row_blocks(q.shape[0]):
+            col += _column_sums(q[s], k, scale_mode)
         col /= q.shape[0]
         return affine((col @ h_kv)[None], params["wv"], params["bv"]), None
     q, k, v = project_qkv((h_query, h_kv, h_kv), params)
     out = np.empty((q.shape[0], v.shape[1]))
-    for i in range(0, q.shape[0], ATTENTION_ROWS):
-        out[i : i + ATTENTION_ROWS] = scaled_dot_attention(q[i : i + ATTENTION_ROWS], k, v, scale_mode).output
+    for s in row_blocks(q.shape[0]):
+        out[s] = scaled_dot_attention(q[s], k, v, scale_mode).output
     return out, None
 
 

@@ -26,6 +26,8 @@ from .errors import AgvError, ConfigError, DimMismatch, InputError, ShapeMismatc
 MODE_FLAGS = {"+".join(("se",) + cues): mode for mode, cues in MODES.items()}
 # The labels a manifest line gives an utterance and its index entry carries.
 LABELS = ("utterance_id", "speaker_id", "language")
+# simmatrix --group-by value -> the index entry label it groups by.
+GROUP_KEYS = {"speaker": "speaker_id", "language": "language"}
 # --format -> (file extension, writer of the file's bytes). The writer looks up its function on the
 # aggregation module `embed` passes it at call time, so a wrapper put there (perfbench's tracer) sees it.
 FORMATS = {
@@ -381,7 +383,7 @@ def cmd_simmatrix(args):
     from . import evaluation
 
     entries, x = _load_index_embeddings(args.index)
-    key = {"speaker": "speaker_id", "language": "language"}.get(args.group_by)
+    key = GROUP_KEYS.get(args.group_by)
     # dominance needs one column per group: pool by speaker when not grouped
     pooled = _pooled_matrix(entries, x, key or "speaker_id")
     labels = [entry["utterance_id"] for entry in entries]
@@ -432,9 +434,9 @@ def _selftest_gradchecks(rng):
 
 def _selftest_pooled_gap(rng):
     """Largest |pooled stage - time-mean of the full stage's rows| over both scale modes, T spanning two blocks."""
-    from . import aggregation
+    from . import aggregation, nn
 
-    d, t = 8, aggregation.ATTENTION_ROWS + 3
+    d, t = 8, nn.BLOCK_ROWS + 3
     params = {w + n: rng.standard_normal((d, d) if w == "w" else d) * 0.4 for n in "qkv" for w in "wb"}
     hq, hkv = rng.standard_normal((t, d)), rng.standard_normal((t, d))
     gaps = []
@@ -528,7 +530,7 @@ def build_parser():
 
     sp = sub.add_parser("simmatrix", help="cross-similarity matrix from an embedding index")
     sp.add_argument("index")
-    sp.add_argument("--group-by", choices=["speaker", "language"], default=None)
+    sp.add_argument("--group-by", choices=list(GROUP_KEYS), default=None)
     sp.add_argument("--out", required=True, metavar="PREFIX")
     sp.set_defaults(func=cmd_simmatrix)
 

@@ -51,7 +51,8 @@ YIN_FMIN = 60.0
 YIN_FMAX = 500.0
 YIN_UNVOICED_CMND = 0.5
 YIN_SILENCE_RMS = 1e-4
-# Frames per yin_f0 block: a block holds a few YIN_FRAMES x 2*WIN arrays.
+# Frames per yin_f0 block: a block holds a few YIN_FRAMES x 2*WIN arrays. YIN makes no GEMM, so it keeps this
+# stride, not nn.row_blocks: its FFTs and sums round by block height (f0_hz moved 2.8e-14 Hz on that rule).
 YIN_FRAMES = 64
 
 

@@ -107,8 +107,8 @@ def _csv_field(label) -> str:
     return text
 
 
-# Rows of u @ v.T computed at once, and written to the PGM: a block's cells can round differently at
-# another height (OpenBLAS picks its kernels by shape), so the height is fixed and the files keep their bytes.
+# Rows of u @ v.T computed at once, and written to the PGM: a block's cells can round differently at another
+# height (OpenBLAS picks its kernels by shape), so the height is fixed, not nn.row_blocks's (scoring imports no nn).
 CSV_BLOCK_ROWS = 32
 # Cells of a block formatted at once, in whole rows: bounds the chunk's float temporaries (about
 # 100 bytes per cell) and its text to about 1.5 MB at any N.

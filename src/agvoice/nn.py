@@ -8,7 +8,7 @@ dense attention kernel returns its Tq x Tk softmax weights with the
 output (AttentionTrace), so `attention_backward`, the one backward pass
 (an analytic oracle for `gradcheck`; nothing trains), does not have to
 recompute them. Only this dense kernel keeps weights: the aggregation
-levels call it on blocks of query rows and keep just the output. The weights are
+levels call it on row blocks of queries and keep just the output. The weights are
 built by `exp_scores` in the one Tq x Tk array the score product
 returns, so a call holds one such array, not the five a composed
 softmax makes; the last aggregation level uses `exp_scores` alone.
@@ -61,19 +61,18 @@ class AttentionTrace:
 
 
 def row_blocks(n):
-    """Slices that cover n rows in order, BLOCK_ROWS rows each; a remainder
-    under BLOCK_ROWS // 2 joins the last block, and n = 0 gives one empty
-    slice.
+    """Slices that cover n rows in order: ceil(n / BLOCK_ROWS) blocks of
+    near-equal height, none longer than BLOCK_ROWS rows nor shorter than
+    BLOCK_ROWS // 2 unless n is; n = 0 gives one empty slice.
 
-    Every T-row product is blocked, because the part of OpenBLAS's
-    packing buffer that stays resident grows with the row count of the
-    left operand, not with T x C. OpenBLAS picks its GEMM kernel by shape,
-    and a product of a few rows can round differently from the same rows
-    inside a larger product: no block is shorter than BLOCK_ROWS // 2 + 1
-    unless n is, so a blocked product is bit for bit the whole one
-    (checked by the tests at every shape the model uses).
+    Every product and every attention score block over T rows uses these
+    blocks. OpenBLAS picks its GEMM kernel by shape, and a product of a
+    few rows can round differently from the same rows inside a larger
+    product; with no short block, a blocked product is bit for bit the
+    whole one (checked by the tests at every shape the model uses).
     """
-    edges = list(range(0, max(n - BLOCK_ROWS // 2, 1), BLOCK_ROWS)) + [n]
+    k = max(-(-n // BLOCK_ROWS), 1)
+    edges = [i * n // k for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from agvoice import aggregation
 from agvoice.aggregation import (
-    ATTENTION_ROWS as ROWS,
     cross_attention_stage,
     encode_f0,
     encode_mel,
@@ -20,7 +19,7 @@ from agvoice.config import MODES, AggregationConfig, BackboneConfig, config_hash
 from agvoice.dsp import F0Contour, MelSpectrogram, mel_spectrogram
 from agvoice.embedding import SpeakerEmbedding, embedding_from_bytes, embedding_from_json, embedding_to_bytes, embedding_to_json
 from agvoice.errors import EmptyContour, ShapeMismatch
-from agvoice.nn import affine, glu_gated_conv, param_group, project_qkv, relu, scaled_dot_attention
+from agvoice.nn import BLOCK_ROWS as ROWS, affine, glu_gated_conv, param_group, project_qkv, relu, row_blocks, scaled_dot_attention
 from agvoice.weights import init_params
 from conftest import sine
 from oracles import loop_attention, loop_mha, loop_pooled_stage, reference_embedding
@@ -189,7 +188,7 @@ class TestAttentionLevels:
 
 
 class TestBlockedStage:
-    """cross_attention_stage works in blocks of ATTENTION_ROWS query rows."""
+    """cross_attention_stage works one row block of queries (`row_blocks`) at a time."""
 
     @pytest.mark.parametrize("t", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
     @pytest.mark.parametrize("mode", ["sqrt", "linear"])
@@ -202,7 +201,7 @@ class TestBlockedStage:
         q, k, v = project_qkv((hq, hkv, hkv), p)
         dense = scaled_dot_attention(q, k, v, mode).output
         # Each block is the dense kernel on its rows with every key and value.
-        blocks = [scaled_dot_attention(q[i : i + ROWS], k, v, mode).output for i in range(0, t, ROWS)]
+        blocks = [scaled_dot_attention(q[s], k, v, mode).output for s in row_blocks(t)]
         assert np.array_equal(out, np.concatenate(blocks))
         if t <= ROWS:
             assert np.array_equal(out, dense)
@@ -222,20 +221,22 @@ class TestBlockedStage:
         assert np.max(np.abs(out - loop_pooled_stage(hq, hkv, p, mode))) < 1e-12
 
     def test_peak_memory_below_one_score_matrix(self, rng):
-        # Each block's scores live in one ROWS x t array, released before
-        # the next block's is made; the bound leaves half a block for the
-        # t x d projections.
-        d, t = 8, 2048
+        # Each block's scores live in one block x t array of at most ROWS
+        # rows, released before the next block's is made; the bound leaves
+        # half a block for the t x d projections. At t = 639 a block rule
+        # that lets a short remainder join the last block holds 383 x t.
+        d = 8
         p = stage_params(rng, d)
-        hq, hkv = rng.standard_normal((t, d)), rng.standard_normal((t, d))
-        for pooled in (False, True):
-            tracemalloc.start()
-            try:
-                cross_attention_stage(hq, hkv, p, pooled=pooled)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 1.5 * ROWS * t * 8, (pooled, peak / (ROWS * t * 8))
+        for t in (2 * ROWS + ROWS // 2 - 1, 2048):
+            hq, hkv = rng.standard_normal((t, d)), rng.standard_normal((t, d))
+            for pooled in (False, True):
+                tracemalloc.start()
+                try:
+                    cross_attention_stage(hq, hkv, p, pooled=pooled)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1.5 * ROWS * t * 8, (t, pooled, peak / (ROWS * t * 8))
 
 
 class TestSplitAndFuse:

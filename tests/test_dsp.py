@@ -99,8 +99,9 @@ class TestMelSpectrogram:
         mel = mel_spectrogram(AudioBuffer(np.random.default_rng(0).standard_normal(4096) * 0.1, SR))
         assert mel.frames.shape == (13, 80)
 
-    # BLOCK_ROWS + 1 frames are one block (a short remainder joins the last
-    # block); BLOCK_ROWS + BLOCK_ROWS // 2 + 1 splits off the shortest block
+    # BLOCK_ROWS + 1 frames are two blocks, of BLOCK_ROWS // 2 rows (the
+    # shortest a block can be) and one row more; the next two are two and
+    # three blocks
     @pytest.mark.parametrize(
         "t", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + BLOCK_ROWS // 2 + 1, 2 * BLOCK_ROWS + 1]
     )

@@ -360,12 +360,15 @@ class TestGlu:
 
 
 class TestRowBlocks:
-    @pytest.mark.parametrize("n", [0, 1, 128, 129, 384, 385, 1000, 5165])
+    @pytest.mark.parametrize("n", [0, 1, 128, 129, 257, 258, 384, 385, 512, 513, 1000, 5165])
     def test_cover_in_order_with_no_short_block(self, n):
         blocks = row_blocks(n)
         assert [i for s in blocks for i in range(n)[s]] == list(range(n))
-        shortest, longest = BLOCK_ROWS // 2 + 1, BLOCK_ROWS + BLOCK_ROWS // 2
-        assert all(shortest <= s.stop - s.start <= longest for s in blocks) or len(blocks) == 1
+        assert len(blocks) == max(-(-n // BLOCK_ROWS), 1)
+        heights = [s.stop - s.start for s in blocks]
+        assert max(heights) <= BLOCK_ROWS
+        if n >= BLOCK_ROWS // 2:
+            assert min(heights) >= BLOCK_ROWS // 2
 
 
 class TestGradcheck:

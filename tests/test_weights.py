@@ -169,7 +169,7 @@ class TestZeroCopyLoad:
         "mode, splitting, scale_mode", list(itertools.product(MODES, (True, False), SCALE_MODES))
     )
     def test_embedding_equals_float64_copy_bit_for_bit(self, mode, splitting, scale_mode):
-        # 3.2 s is 272 frames, more than ATTENTION_ROWS, so every attention level runs two blocks of query rows
+        # 3.2 s is 272 frames, more than BLOCK_ROWS, so every product and attention level runs two blocks of 136 rows
         bb = BackboneConfig(channels=16, d_model=8)
         agg = AggregationConfig(mode=mode, splitting=splitting, scale_mode=scale_mode, n_tokens=2, heads=2, d_model=8)
         loaded = load(save(init_params(bb, agg, seed=4)))
