@@ -130,14 +130,16 @@ def _difference_function(frames: np.ndarray, tau_max: int) -> np.ndarray:
     """d(tau) = sum_j (x[j] - x[j+tau])^2 over the in-frame overlap, tau in [0, tau_max].
 
     Works along the last axis, so it takes one frame or a block of frames.
-    The ACF is a transform of n = w + tau_max points. Its circular wrap
-    adds lag tau - n to lag tau, and for tau <= tau_max that lag is at
-    most -w, past any overlap of a w-sample frame: every kept lag is linear.
+    The ACF is a transform of n = w + max(tau_max, w/2) points. Its
+    circular wrap adds lag tau - n to lag tau, and for tau <= tau_max that
+    lag is at most -w, past any overlap of a w-sample frame: every kept
+    lag is linear. Any tau_max up to w/2 gets the same transform, so a
+    shorter search keeps the bits of one out to lag w/2.
     """
     w = frames.shape[-1]
     sq = np.cumsum(frames * frames, axis=-1)
     sq = np.concatenate([np.zeros_like(sq[..., :1]), sq], axis=-1)
-    n = w + tau_max
+    n = w + max(tau_max, w // 2)
     spec = np.fft.rfft(frames, n)
     acf = np.fft.irfft(spec * np.conj(spec), n)[..., : tau_max + 1]
     taus = np.arange(tau_max + 1)
@@ -157,29 +159,33 @@ def _cmnd(d: np.ndarray) -> np.ndarray:
 def yin_f0(buf: AudioBuffer) -> F0Contour:
     """YIN pitch per frame, on the mel framing.
 
-    Per frame: difference function for lags 1..WIN/2, cumulative-mean
-    normalization, absolute-threshold pick of the first local minimum
-    below YIN_THRESHOLD in the [sr/YIN_FMAX, sr/YIN_FMIN] lag band,
+    Per frame: difference function, cumulative-mean normalization (CMND),
+    absolute-threshold pick of the first local minimum below YIN_THRESHOLD
+    in the [sr/YIN_FMAX, sr/YIN_FMIN] lag band (lags 45..367 at 22050 Hz),
     parabolic refinement. Falls back to the band's global minimum; a frame
     is unvoiced when that minimum exceeds 0.5 or the frame RMS is under 1e-4.
+    The difference function and CMND stop at lag tau_hi + 1, the right
+    neighbour of the band's last lag: the CMND at a lag reads no later
+    lag, and the transform is that of a search out to lag WIN/2, so every
+    value keeps that search's bits.
 
     The frames go through as array code in blocks of YIN_FRAMES = 64, so a
     call holds ~4 MB of work arrays whatever the clip length. Memory sets
     the size: embed-mixed-rate runs YIN in two workers at once, and its
     peak RSS was 56 MB at 64 frames, 61 MB at 128 and 74 MB at 1024.
-    Larger blocks are also slower on long clips (60 s: 101 ms at 64 frames,
-    183 ms at 1024).
+    Larger blocks are also slower on long clips (60 s, 2-core VM, one
+    BLAS thread: 62 ms at 64 frames, 75 ms at 128, 123 ms at 1024; 80 ms
+    at 64 frames when the CMND ran out to lag WIN/2).
     """
     sr = CANONICAL_RATE
     frames = _frames(buf)
-    tau_max = WIN // 2
     tau_lo = max(2, int(np.ceil(sr / YIN_FMAX)))
-    tau_hi = min(tau_max - 1, int(np.floor(sr / YIN_FMIN)))  # so every lag in the band has both neighbours
+    tau_hi = min(WIN // 2 - 1, int(np.floor(sr / YIN_FMIN)))  # so every lag in the band has both neighbours
 
     blocks = []
     for i in range(0, len(frames), YIN_FRAMES):
         block = frames[i : i + YIN_FRAMES]
-        dp = _cmnd(_difference_function(block, tau_max))
+        dp = _cmnd(_difference_function(block, tau_hi + 1))
         band = dp[:, tau_lo : tau_hi + 1]
         dips = (band < YIN_THRESHOLD) & (band <= dp[:, tau_lo - 1 : tau_hi]) & (band <= dp[:, tau_lo + 1 : tau_hi + 2])
         tau = tau_lo + np.where(dips.any(axis=1), dips.argmax(axis=1), band.argmin(axis=1))

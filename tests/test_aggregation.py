@@ -16,12 +16,13 @@ from agvoice.aggregation import (
 )
 from agvoice.backbone import backbone_forward
 from agvoice.config import MODES, AggregationConfig, BackboneConfig, config_hash
-from agvoice.dsp import F0Contour, MelSpectrogram, mel_spectrogram
+from agvoice.audio_io import AudioBuffer
+from agvoice.dsp import F0Contour, MelSpectrogram, mel_spectrogram, yin_f0
 from agvoice.embedding import SpeakerEmbedding, embedding_from_bytes, embedding_from_json, embedding_to_bytes, embedding_to_json
 from agvoice.errors import EmptyContour, ShapeMismatch
 from agvoice.nn import BLOCK_ROWS as ROWS, affine, glu_gated_conv, param_group, project_qkv, relu, row_blocks, scaled_dot_attention
 from agvoice.weights import init_params
-from conftest import sine
+from conftest import SR, sine
 from oracles import loop_attention, loop_mha, loop_pooled_stage, reference_embedding
 
 
@@ -40,6 +41,14 @@ def f0_params(rng, d):
         "fc2.weight": rng.standard_normal((d, d)) * 0.5,
         "fc2.bias": rng.standard_normal(d) * 0.1,
     }
+
+
+def repeat_rows(rng, x, frac=0.15):
+    """x with about `frac` of its rows (at least two) set to one shared row, and its distinct row count."""
+    x = x.copy()
+    rows = rng.choice(len(x), max(2, round(frac * len(x))), replace=False)
+    x[rows] = rng.standard_normal(x.shape[1])
+    return x, len(x) - len(rows) + 1
 
 
 def contour_of(f0, voiced):
@@ -220,23 +229,73 @@ class TestBlockedStage:
         assert out.shape == (1, d) and second is None
         assert np.max(np.abs(out - loop_pooled_stage(hq, hkv, p, mode))) < 1e-12
 
+    @pytest.mark.parametrize("t", [ROWS - 1, ROWS + 1, 2 * ROWS + 3])
+    @pytest.mark.parametrize("mode", ["sqrt", "linear"])
+    def test_repeated_key_rows_match_dense_kernel(self, rng, monkeypatch, t, mode):
+        # An F0 cue gives every unvoiced frame one state: the stage attends
+        # over the distinct rows of h_kv, each weighted by its count.
+        d = 8
+        p = stage_params(rng, d)
+        hq = rng.standard_normal((t, d))
+        hkv, distinct = repeat_rows(rng, rng.standard_normal((t, d)))
+        keys = []
+        for name in ("scaled_dot_attention", "exp_scores"):
+            kernel = getattr(aggregation, name)
+            monkeypatch.setattr(aggregation, name, lambda q, k, *a, kernel=kernel: keys.append(len(k)) or kernel(q, k, *a))
+        out, _ = cross_attention_stage(hq, hkv, p, mode)
+        pooled, _ = cross_attention_stage(hq, hkv, p, mode, pooled=True)
+        assert set(keys) == {distinct}
+        q, k, v = project_qkv((hq, hkv, hkv), p)
+        assert np.max(np.abs(out - scaled_dot_attention(q, k, v, mode).output)) < 1e-12
+        assert np.max(np.abs(pooled - loop_pooled_stage(hq, hkv, p, mode))) < 1e-12
+
+    @pytest.mark.parametrize("t", [ROWS - 1, ROWS + 1, 2 * ROWS + 3])
+    @pytest.mark.parametrize("keys_repeat", [False, True])
+    def test_pooled_repeated_query_rows(self, rng, monkeypatch, t, keys_repeat):
+        # SE_ME_then_F0's last level takes the F0 cue as its queries: each
+        # distinct query row is added once, times its count.
+        d = 8
+        p = stage_params(rng, d)
+        hq, distinct = repeat_rows(rng, rng.standard_normal((t, d)))
+        hkv = rng.standard_normal((t, d))
+        if keys_repeat:
+            hkv, _ = repeat_rows(rng, hkv)
+        queries = []
+        kernel = aggregation.exp_scores
+        monkeypatch.setattr(aggregation, "exp_scores", lambda q, k, *a: queries.append(len(q)) or kernel(q, k, *a))
+        out, _ = cross_attention_stage(hq, hkv, p, pooled=True)
+        assert sum(queries) == distinct
+        assert np.max(np.abs(out - loop_pooled_stage(hq, hkv, p))) < 1e-12
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_every_row_identical(self, rng, pooled):
+        # one key of count t: every query reads its value row
+        d, t = 8, ROWS + 1
+        p = stage_params(rng, d)
+        hq, hkv = np.tile(rng.standard_normal(d), (t, 1)), np.tile(rng.standard_normal(d), (t, 1))
+        out, _ = cross_attention_stage(hq, hkv, p, pooled=pooled)
+        assert out.shape == (1 if pooled else t, d)
+        assert np.max(np.abs(out - affine(hkv[:1], p["wv"], p["bv"]))) < 1e-12
+
     def test_peak_memory_below_one_score_matrix(self, rng):
         # Each block's scores live in one block x t array of at most ROWS
         # rows, released before the next block's is made; the bound leaves
         # half a block for the t x d projections. At t = 639 a block rule
         # that lets a short remainder join the last block holds 383 x t.
+        # Merging repeated key rows adds the distinct rows and their counts.
         d = 8
         p = stage_params(rng, d)
         for t in (2 * ROWS + ROWS // 2 - 1, 2048):
-            hq, hkv = rng.standard_normal((t, d)), rng.standard_normal((t, d))
-            for pooled in (False, True):
-                tracemalloc.start()
-                try:
-                    cross_attention_stage(hq, hkv, p, pooled=pooled)
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-                assert peak < 1.5 * ROWS * t * 8, (t, pooled, peak / (ROWS * t * 8))
+            hq = rng.standard_normal((t, d))
+            for hkv in (rng.standard_normal((t, d)), repeat_rows(rng, rng.standard_normal((t, d)))[0]):
+                for pooled in (False, True):
+                    tracemalloc.start()
+                    try:
+                        cross_attention_stage(hq, hkv, p, pooled=pooled)
+                        _, peak = tracemalloc.get_traced_memory()
+                    finally:
+                        tracemalloc.stop()
+                    assert peak < 1.5 * ROWS * t * 8, (t, pooled, peak / (ROWS * t * 8))
 
 
 class TestSplitAndFuse:
@@ -328,6 +387,20 @@ class TestExtractEmbedding:
     def test_matches_end_to_end_reference_script(self, setup):
         buf, bb_cfg, get = setup
         agg, store = get("SE_F0_then_ME")
+        emb = extract_embedding(buf, store, bb_cfg, agg)
+        ref = reference_embedding(buf.samples, store.entries, agg)
+        assert np.max(np.abs(emb.vector - ref)) < 1e-8
+
+    @pytest.mark.parametrize("mode", ["SE_F0", "SE_F0_then_ME", "SE_ME_then_F0"])
+    def test_clip_with_silent_gaps_matches_end_to_end_reference_script(self, setup, mode):
+        # Silent frames are unvoiced and share one F0 state, so the F0 cue's
+        # level merges them. Without splitting, a level's change is not
+        # averaged away by the near-uniform token fusion of seeded weights.
+        _, bb_cfg, get = setup
+        tone = sine(220.0, seconds=1.0).samples
+        buf = AudioBuffer(tone * (np.arange(len(tone)) // 4410 % 2 == 0), SR)  # 0.2 s on, 0.2 s off
+        assert np.mean(yin_f0(buf).voiced) < 0.7
+        agg, store = get(mode, splitting=False)
         emb = extract_embedding(buf, store, bb_cfg, agg)
         ref = reference_embedding(buf.samples, store.entries, agg)
         assert np.max(np.abs(emb.vector - ref)) < 1e-8

@@ -8,6 +8,7 @@ from agvoice.dsp import (
     HOP,
     MEL_FLOOR,
     WIN,
+    YIN_FMIN,
     YIN_FRAMES,
     f0_to_csv,
     frame_count,
@@ -194,6 +195,25 @@ class TestYin:
         d_ref, _ = brute_cmnd(frame, 512)
         assert np.max(np.abs(d - d_ref)) < 1e-6 * np.max(d_ref)
         assert np.max(np.abs(_cmnd(d) - dp_ref)) < 1e-8
+
+    def test_cmnd_through_the_band_keeps_the_bits_of_the_full_search(self, rng, monkeypatch):
+        # yin_f0 stops at the band's last lag plus one and keeps the bits of a search out to WIN/2
+        from agvoice import dsp
+
+        last = int(np.floor(SR / YIN_FMIN)) + 1
+        saw = sawtooth(97.0).samples
+        for frame in (rng.standard_normal(WIN), saw[:WIN]):
+            full = dsp._cmnd(dsp._difference_function(frame, WIN // 2))
+            trimmed = dsp._cmnd(dsp._difference_function(frame, last))
+            assert trimmed.shape == (last + 1,)
+            assert np.array_equal(trimmed, full[: last + 1])
+        buf = AudioBuffer(np.concatenate([saw, 0.1 * rng.standard_normal(SR)]), SR)
+        got = yin_f0(buf)
+        search = dsp._difference_function
+        monkeypatch.setattr(dsp, "_difference_function", lambda f, tau_max: search(f, WIN // 2)[..., : tau_max + 1])
+        ref = yin_f0(buf)
+        for a, b in ((got.f0_hz, ref.f0_hz), (got.voiced, ref.voiced), (got.cmnd_min, ref.cmnd_min)):
+            assert np.array_equal(a, b)
 
 
 class TestAlignment:
