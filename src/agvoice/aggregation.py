@@ -67,15 +67,10 @@ def _distinct_rows(x):
     """(rows, counts): x's distinct rows in order of first appearance and how often each occurs,
     or (x, None) when no row repeats.
 
-    Equal rows have equal first values, so a first column with no tie ends the search; that
-    saves a pooled level with no repeated row 3-8 ms at T = 5164, d = 192. Otherwise rows are
-    compared by their bytes, through one sort of a void view: 3 ms at that size, where
-    np.unique(axis=0) takes 19 ms.
+    Rows are compared by their bytes, through one sort of a void view: 3 ms at T = 5164,
+    d = 192, where np.unique(axis=0) takes 19 ms.
     """
     x = np.ascontiguousarray(x)
-    head = np.sort(x[:, 0])
-    if not (head[1:] == head[:-1]).any():
-        return x, None
     rows = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).ravel()
     _, first, counts = np.unique(rows, return_index=True, return_counts=True)
     if len(first) == len(x):
@@ -84,20 +79,14 @@ def _distinct_rows(x):
     return x[first[order]], counts[order].astype(np.float64)
 
 
-def _column_sums(q, k, scale_mode, q_counts=None, k_counts=None):
+def _column_sums(q, k, scale_mode):
     """Column sums of softmax(Q K^T / s): each row of exp scores times 1 / its sum, added up.
 
-    With counts, key u stands for k_counts[u] equal keys and query row i
-    for q_counts[i] equal queries. The scores live only inside this call,
-    so a caller's loop holds one block of them at a time.
+    The scores live only inside this call, so a caller's loop holds one
+    block of them at a time.
     """
     e = exp_scores(q, k, scale_mode)
-    if k_counts is not None:
-        e *= k_counts
-    w = 1.0 / e.sum(axis=1)
-    if q_counts is not None:
-        w *= q_counts
-    return w @ e
+    return (1.0 / e.sum(axis=1)) @ e
 
 
 def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt", pooled=False):
@@ -109,13 +98,12 @@ def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt", pooled=False
     kernel's (up to BLAS rounding) while at most BLOCK_ROWS x T weights
     exist at a time.
 
-    Exactly repeated rows are merged first: the level attends over the
-    distinct rows of h_kv, each weighted by its count, and the pooled form
-    also adds each distinct query row once, times its count. Every
-    unvoiced frame has one F0 state, so an F0 cue repeats. The full form
-    passes the values as [counts * v | counts] to the dense kernel and
-    divides by the last column, which holds each row's softmax mass.
-    When no row repeats, nothing is merged.
+    The full form merges exactly repeated key rows first: it attends over
+    the distinct rows of h_kv, each weighted by its count. Every unvoiced
+    frame has one F0 state, so level 1's F0 prompt repeats. The values go
+    to the dense kernel as [counts * v | counts], and each output row is
+    divided by its last column, which holds the row's softmax mass. When
+    no row repeats, nothing is merged.
 
     Returns (output, None); the T x T weights are never held, so there is
     no trace to return. The output is T x d, or with `pooled` the 1 x d
@@ -125,16 +113,14 @@ def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt", pooled=False
     normalised weights.
     """
     _check_aligned(h_query, h_kv)
-    h_kv, k_counts = _distinct_rows(h_kv)
     if pooled:
-        t = h_query.shape[0]
-        h_query, q_counts = _distinct_rows(h_query)
         q, k = project_qkv((h_query, h_kv), params)  # two inputs: Q and K only
         col = np.zeros(k.shape[0])
         for s in row_blocks(q.shape[0]):
-            col += _column_sums(q[s], k, scale_mode, None if q_counts is None else q_counts[s], k_counts)
-        col /= t
+            col += _column_sums(q[s], k, scale_mode)
+        col /= q.shape[0]
         return affine((col @ h_kv)[None], params["wv"], params["bv"]), None
+    h_kv, k_counts = _distinct_rows(h_kv)
     if k_counts is None:
         q, k, v = project_qkv((h_query, h_kv, h_kv), params)
     else:
