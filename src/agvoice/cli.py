@@ -387,7 +387,7 @@ def cmd_simmatrix(args):
     # dominance needs one column per group: pool by speaker when not grouped
     pooled = _pooled_matrix(entries, x, key or "speaker_id")
     labels = [entry["utterance_id"] for entry in entries]
-    matrix = pooled if key else evaluation.cosine_rows(x, x, labels, labels)
+    matrix = pooled if key else evaluation.cross_similarity(x, x, labels, labels)
     dom = evaluation.diagonal_dominance(pooled)
     csv_path = args.out + ".csv"
 

@@ -14,7 +14,7 @@ from .errors import DimMismatch, LabelMismatch, ZeroNorm
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    values: np.ndarray  # or a CosineRows, for a matrix only ever read block by block
+    values: "CosineRows"
     row_labels: list
     col_labels: list
 
@@ -22,6 +22,7 @@ class SimilarityMatrix:
 class CosineRows:
     """The rows of the cosine matrix u @ v.T of unit rows u and v, each block computed when sliced:
     a matrix's `values` in O(N·d) memory, for the writers, which read only `shape`, len and row slices.
+    `values[:]` is the whole matrix.
 
     u and v stay separate arrays: given an operand and its own transpose, numpy
     computes a symmetric product instead, whose cells can differ in the last bit.
@@ -30,6 +31,7 @@ class CosineRows:
     def __init__(self, u, v):
         self.u, self.v = u, v
         self.shape = (len(u), len(v))
+        self.size = len(u) * len(v)
 
     def __len__(self):
         return len(self.u)
@@ -59,7 +61,7 @@ def cosine(a, b) -> float:
     return float(u[0] @ u[1])
 
 
-def cosine_rows(rows, cols, row_labels=None, col_labels=None) -> SimilarityMatrix:
+def cross_similarity(rows, cols, row_labels=None, col_labels=None) -> SimilarityMatrix:
     """Pairwise cosine matrix between two embedding lists, as CosineRows: no N×N array is made."""
     u, v = _unit_rows(rows), _unit_rows(cols)
     if u.shape[1] != v.shape[1]:
@@ -69,12 +71,6 @@ def cosine_rows(rows, cols, row_labels=None, col_labels=None) -> SimilarityMatri
         list(row_labels) if row_labels is not None else list(range(len(u))),
         list(col_labels) if col_labels is not None else list(range(len(v))),
     )
-
-
-def cross_similarity(rows, cols, row_labels=None, col_labels=None) -> SimilarityMatrix:
-    """Pairwise cosine matrix between two embedding lists."""
-    m = cosine_rows(rows, cols, row_labels, col_labels)
-    return SimilarityMatrix(m.values[:], m.row_labels, m.col_labels)
 
 
 def diagonal_dominance(m: SimilarityMatrix) -> float:

@@ -21,7 +21,7 @@ from agvoice.dsp import F0Contour, MelSpectrogram, mel_spectrogram, yin_f0
 from agvoice.embedding import SpeakerEmbedding, embedding_from_bytes, embedding_from_json, embedding_to_bytes, embedding_to_json
 from agvoice.errors import EmptyContour, ShapeMismatch
 from agvoice.nn import BLOCK_ROWS as ROWS, affine, glu_gated_conv, param_group, project_qkv, relu, row_blocks, scaled_dot_attention
-from agvoice.weights import init_params
+from agvoice.weights import ParamStore, init_params
 from conftest import SR, sine
 from oracles import loop_attention, loop_mha, loop_pooled_stage, reference_embedding
 
@@ -374,19 +374,34 @@ class TestExtractEmbedding:
         ref = reference_embedding(buf.samples, store.entries, agg)
         assert np.max(np.abs(emb.vector - ref)) < 1e-8
 
+    @staticmethod
+    def gated_clip_error(setup, mode, bias_rng=None):
+        """Largest difference from reference_embedding on a 1 s 220 Hz tone gated 0.2 s on, 0.2 s off,
+        without splitting; with `bias_rng`, every bias of the store is redrawn from it first."""
+        _, bb_cfg, get = setup
+        tone = sine(220.0, seconds=1.0).samples
+        buf = AudioBuffer(tone * (np.arange(len(tone)) // 4410 % 2 == 0), SR)
+        assert np.mean(yin_f0(buf).voiced) < 0.7
+        agg, store = get(mode, splitting=False)
+        if bias_rng is not None:  # every 1-D tensor of the store is a bias
+            entries = {k: bias_rng.standard_normal(v.shape) * 0.5 if v.ndim == 1 else v for k, v in store.entries.items()}
+            store = ParamStore(entries, store.meta)
+            assert all(v.any() for v in entries.values())
+        emb = extract_embedding(buf, store, bb_cfg, agg)
+        return np.max(np.abs(emb.vector - reference_embedding(buf.samples, store.entries, agg)))
+
     @pytest.mark.parametrize("mode", ["SE_F0", "SE_F0_then_ME", "SE_ME_then_F0"])
     def test_clip_with_silent_gaps_matches_end_to_end_reference_script(self, setup, mode):
         # Silent frames share one F0 state and one mel state, so a full
         # level keyed by either cue merges them. Without splitting, a level's change is not
         # averaged away by the near-uniform token fusion of seeded weights.
-        _, bb_cfg, get = setup
-        tone = sine(220.0, seconds=1.0).samples
-        buf = AudioBuffer(tone * (np.arange(len(tone)) // 4410 % 2 == 0), SR)  # 0.2 s on, 0.2 s off
-        assert np.mean(yin_f0(buf).voiced) < 0.7
-        agg, store = get(mode, splitting=False)
-        emb = extract_embedding(buf, store, bb_cfg, agg)
-        ref = reference_embedding(buf.samples, store.entries, agg)
-        assert np.max(np.abs(emb.vector - ref)) < 1e-8
+        assert self.gated_clip_error(setup, mode) < 1e-8
+
+    @pytest.mark.parametrize("mode", ["SE_F0", "SE_F0_then_ME", "SE_ME_then_F0"])
+    def test_clip_with_silent_gaps_and_nonzero_biases_matches_end_to_end_reference_script(self, setup, mode):
+        # init's biases are all zero, so the shared silent F0 state is the zero vector: its key scores 0
+        # and its value is 0 whatever count it is weighted by. Redrawn biases make both non-zero.
+        assert self.gated_clip_error(setup, mode, np.random.default_rng(7)) < 1e-8
 
     def test_resampled_samples_dropped_before_the_backbone(self, setup, monkeypatch):
         # A caller's frame may hold its own argument until the call returns

@@ -15,6 +15,9 @@ from conftest import GUID_TAIL  # noqa: E402
 
 U16 = st.integers(0, 2**16 - 1)
 U32 = st.integers(0, 2**32 - 1)
+# Bytes a padded data chunk is repeated to: past one 1024-sample frame after resampling to 22050 Hz,
+# at 48 kHz, in stereo float32 (2400 frames)
+PAD_BYTES = 2400 * 2 * 4
 
 
 def rarely(draw):
@@ -23,9 +26,9 @@ def rarely(draw):
 
 
 @st.composite
-def fmt_and_data(draw):
+def fmt_and_data(draw, pad=False):
     """A fmt body and a data body that mostly agree: PCM16 or float32 (NaN and inf included), mono or stereo,
-    plain or extensible."""
+    plain or extensible. With `pad`, about four data bodies in five are repeated to PAD_BYTES or more."""
     audio_format, bits = draw(st.sampled_from([(1, 16), (3, 32)]))
     channels = draw(st.sampled_from([1, 2]))
     rate = draw(st.sampled_from([16000, 22050, 48000]))
@@ -44,13 +47,16 @@ def fmt_and_data(draw):
         data = np.array(draw(st.lists(values, min_size=1, max_size=32)), dtype="<f4").tobytes()
     else:
         data = np.array(draw(st.lists(st.integers(-32768, 32767), min_size=1, max_size=32)), dtype="<i2").tobytes()
+    if pad and data and not rarely(draw):
+        data *= -(-PAD_BYTES // len(data))
     return body, data
 
 
 @st.composite
-def wav_files(draw):
-    """A fmt and a data chunk among others, in any order, with lying sizes and truncation."""
-    fmt, data = draw(fmt_and_data())
+def wav_files(draw, pad=False):
+    """A fmt and a data chunk among others, in any order, with lying sizes and truncation; `pad` as in
+    fmt_and_data."""
+    fmt, data = draw(fmt_and_data(pad))
     others = st.tuples(st.sampled_from([b"LIST", b"fact"]) | st.binary(min_size=4, max_size=4), st.binary(max_size=16))
     parts = draw(st.permutations([(b"fmt ", fmt), (b"data", data)] + draw(st.lists(others, max_size=3))))
     if rarely(draw):

@@ -70,11 +70,11 @@ def index_dirs(draw):
 
 
 def run(argv):
-    """(exit code, standard error) of cli.main."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    """(exit code, standard output, standard error) of cli.main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -96,7 +96,7 @@ def test_scoring_exits_0_2_or_3_with_one_error_line(case):
             ["simmatrix", index_path, "--group-by", "speaker", "--out", prefix],
             ["abx", "--reference", *paths],
         ):
-            code, err = run(argv)
+            code, _, err = run(argv)
             assert code in (0, 2, 3), (argv[0], code, err)
             assert err.count("\n") == (1 if code else 0), (argv[0], err)
             assert set(os.listdir(tmp)) - before <= {"sim.csv", "sim.pgm"}, argv[0]
