@@ -24,6 +24,8 @@ _MAX_RATE = 384000
 
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
+_SAMPLE_TYPES = {(1, 16): ("<i2", 32768.0), (3, 32): ("<f4", 1.0)}  # (format tag, bits) -> (dtype, full scale)
+
 # resampler kernel parameters
 _ZERO_CROSSINGS = 64
 _KAISER_BETA = 8.0
@@ -48,22 +50,20 @@ class AudioBuffer:
 def decode_wav(data: bytes) -> AudioBuffer:
     """Parse a RIFF/WAVE byte string into a mono AudioBuffer.
 
-    Accepts PCM 16-bit and IEEE float 32-bit, 1 or 2 channels, plain or
-    wrapped in WAVE_FORMAT_EXTENSIBLE (whose SubFormat GUID starts with
-    the PCM or float tag). Stereo is averaged down to mono; PCM16 is
-    scaled by 1/32768. The container's sample rate is preserved;
-    resample() brings it to CANONICAL_RATE.
+    Accepts the encodings of _SAMPLE_TYPES, 1 or 2 channels, plain or
+    wrapped in WAVE_FORMAT_EXTENSIBLE (whose SubFormat GUID starts with the
+    PCM or float tag). The data chunk is read in place: only the float64
+    output grows with the file, and for float32 one clipped copy. Stereo
+    is averaged to mono; resample() brings the rate to CANONICAL_RATE.
     """
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedContainer("not a RIFF/WAVE container")
 
-    fmt = None
-    payload = None
+    fmt = payload = None
     pos = 12
     while pos + 8 <= len(data):
-        cid = data[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + size]
+        cid, size = struct.unpack_from("<4sI", data, pos)
+        body = memoryview(data)[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise MalformedContainer("chunk %r overruns file" % cid)
         if cid == b"fmt ":
@@ -84,21 +84,22 @@ def decode_wav(data: bytes) -> AudioBuffer:
     audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
     if channels not in (1, 2):
         raise UnsupportedEncoding("unsupported channel count %d" % channels)
-    if audio_format == 1 and bits == 16:
-        raw = np.frombuffer(payload[: len(payload) - len(payload) % (2 * channels)], dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
-    elif audio_format == 3 and bits == 32:
-        raw = np.frombuffer(payload[: len(payload) - len(payload) % (4 * channels)], dtype="<f4")
+    if (audio_format, bits) not in _SAMPLE_TYPES:
+        raise UnsupportedEncoding("format=%d bits=%d not supported" % (audio_format, bits))
+    dtype, scale = _SAMPLE_TYPES[audio_format, bits]
+    frames = len(payload) // (bits // 8 * channels)  # a trailing partial frame is dropped
+    raw = np.frombuffer(payload, dtype, count=frames * channels).reshape(frames, channels)
+    if raw.dtype.kind == "f":
         if not np.isfinite(raw).all():
             raise MalformedContainer("float32 data holds NaN or infinite samples")
-        samples = np.clip(raw.astype(np.float64), -1.0, 1.0)
-    else:
-        raise UnsupportedEncoding("format=%d bits=%d not supported" % (audio_format, bits))
-
-    if samples.size == 0:
+        raw = np.clip(raw, -1.0, 1.0)
+    if frames == 0:
         raise EmptyAudio("no data frames")
-    if channels == 2:
-        samples = samples.reshape(-1, 2).mean(axis=1)
+    samples = raw[:, 0].astype(np.float64)
+    if channels == 2:  # summed from +0.0 as a mean is, so two -0.0 samples average to +0.0
+        samples += 0.0
+        samples += raw[:, 1]
+    samples *= 1.0 / (scale * channels)  # a power of two: exact
     return AudioBuffer(samples, rate)
 
 

@@ -88,14 +88,12 @@ def backbone_forward(mel: MelSpectrogram, params) -> BackboneOutput:
     x = affine(mel.frames, params["conv_in.weight"], params["conv_in.bias"])
     np.maximum(x, 0.0, out=x)
     c = x.shape[1]
+    agg = np.full(x.shape, -0.0)  # -0.0 + y is y bit for bit; mfa.bias comes last
     for i, dil in enumerate(DILATIONS):
         x = res2_block(x, dil, param_group(params, "block%d" % (i + 1)))
         w = np.asarray(params["mfa.weight"][i * c : (i + 1) * c], dtype=np.float64)
-        if i == 0:
-            agg = affine(x, w, np.full(c, -0.0))  # y + -0.0 is y bit for bit; mfa.bias comes last
-        else:
-            for s in row_blocks(len(x)):
-                agg[s] += x[s] @ w
+        for s in row_blocks(len(x)):
+            agg[s] += x[s] @ w
         del w  # a C x C cast: not kept through the next block
     del x
     agg += params["mfa.bias"]

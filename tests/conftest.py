@@ -22,11 +22,11 @@ def sawtooth(freq, seconds=1.0, sr=SR, amp=0.5):
     return AudioBuffer(amp * (2.0 * ((t * freq) % 1.0) - 1.0), sr)
 
 
-def float32_wav(values, rate=SR):
-    """A mono IEEE float32 WAV byte string."""
+def float32_wav(values, rate=SR, channels=1):
+    """An IEEE float32 WAV byte string; `values` interleaves the channels."""
     payload = np.asarray(values, dtype="<f4").tobytes()
     hdr = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-    hdr += b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, rate, rate * 4, 4, 32)
+    hdr += b"fmt " + struct.pack("<IHHIIHH", 16, 3, channels, rate, rate * 4 * channels, 4 * channels, 32)
     return hdr + b"data" + struct.pack("<I", len(payload)) + payload
 
 

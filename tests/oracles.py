@@ -8,6 +8,7 @@ containers*, never its math.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -175,6 +176,30 @@ def loop_csv_row(values):
 
 
 # --- DSP references ---------------------------------------------------------
+
+
+def whole_array_decode(data):
+    """(mono float64 samples, rate) of a WAV byte string that decode_wav accepts, by whole-array steps.
+
+    The chunks are walked in a plain loop, the last fmt and data chunks counting. PCM16 becomes a
+    float64 copy divided by 32768, float32 a float64 copy clipped to [-1, 1]; stereo is then
+    averaged by reshape(-1, 2).mean(axis=1).
+    """
+    chunks, pos = {}, 12
+    while pos + 8 <= len(data):
+        cid, size = struct.unpack_from("<4sI", data, pos)
+        chunks[cid] = data[pos + 8 : pos + 8 + size]
+        pos += 8 + size + size % 2
+    tag, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", chunks[b"fmt "])
+    if tag == 0xFFFE:
+        (tag,) = struct.unpack_from("<H", chunks[b"fmt "], 24)
+    payload = chunks[b"data"]
+    payload = payload[: len(payload) - len(payload) % (bits // 8 * channels)]
+    if tag == 1:
+        samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
+    else:
+        samples = np.clip(np.frombuffer(payload, dtype="<f4").astype(np.float64), -1.0, 1.0)
+    return (samples.reshape(-1, 2).mean(axis=1) if channels == 2 else samples), rate
 
 
 def bessel_i0(x):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from agvoice.errors import (
     UnsupportedEncoding,
 )
 from conftest import GUID_TAIL, SR, float32_wav, sine
-from oracles import loop_resample
+from oracles import loop_resample, whole_array_decode
 
 
 def pcm16_wav(frames, rate=22050, channels=1):
@@ -58,6 +59,12 @@ class TestDecode:
         hdr += b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, 22050, 22050 * 4, 4, 32)
         buf = decode_wav(hdr + b"data" + struct.pack("<I", len(payload)) + payload)
         assert np.allclose(buf.samples, [0.25, -0.5])
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_signed_zeros_match_the_oracle(self, channels):
+        # a mono -0.0 stays -0.0; a stereo mean sums from +0.0, so two -0.0 samples average to +0.0
+        wav = float32_wav([-0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.25], channels=channels)
+        assert decode_wav(wav).samples.tobytes() == whole_array_decode(wav)[0].tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_float32_non_finite_rejected(self, bad):
@@ -102,6 +109,46 @@ class TestDecode:
         samples = rng.uniform(-0.999, 0.999, size=2000)
         buf = decode_wav(encode_wav_pcm16(AudioBuffer(samples, SR)))
         assert np.max(np.abs(buf.samples - samples)) <= 1.0 / 32768
+
+
+def decode_peak(wav):
+    """decode_wav's tracemalloc peak in bytes, over the bytes it was given, and its buffer or error."""
+    tracemalloc.start()
+    try:
+        try:
+            result = decode_wav(wav)
+        except MalformedContainer as e:
+            result = e
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+class TestDecodeMemory:
+    """The data chunk is read in place: the float64 output is the one array that grows with the file
+    (with a whole-array decode, 30 s of stereo PCM16 peaked at about 3.5 outputs)."""
+
+    FRAMES = 30 * 48000
+
+    def test_pcm16_stereo_peak_is_the_output(self):
+        samples = (np.arange(2 * self.FRAMES) % 65536 - 32768).astype("<i2")
+        peak, buf = decode_peak(pcm16_wav(samples, rate=48000, channels=2))
+        assert len(buf) == self.FRAMES
+        assert peak < buf.samples.nbytes + 2**20, (peak, buf.samples.nbytes)
+
+    def test_float32_stereo_peak_is_the_output_and_one_clipped_copy(self):
+        values = np.sin(np.arange(2 * self.FRAMES) * 1e-3, dtype=np.float32) * 1.5
+        peak, buf = decode_peak(float32_wav(values, rate=48000, channels=2))
+        assert len(buf) == self.FRAMES
+        assert peak < buf.samples.nbytes + values.nbytes + 2**20, (peak, buf.samples.nbytes)
+
+    def test_data_size_claimed_past_the_file_allocates_nothing_for_it(self):
+        wav = bytearray(pcm16_wav([1, -1]))
+        struct.pack_into("<I", wav, 40, 2**32 - 1)  # the data chunk's size field
+        peak, err = decode_peak(bytes(wav))
+        assert isinstance(err, MalformedContainer)
+        assert peak < 64 * 1024, peak
 
 
 class TestResample:
