@@ -36,7 +36,6 @@ FORMATS = {
 }
 # `embed` writes its index beside the embeddings under this name.
 INDEX_FILE = "index.json"
-M_ARENA_MAX = -8  # glibc's mallopt parameter number
 
 # `init`'s config flags: config field -> (flag, argparse options). A field
 # without a flag, and a flag left out, keeps the dataclass default. Every
@@ -186,20 +185,6 @@ def cmd_inspect(args):
     return 0, "".join(lines), []
 
 
-def _glibc_malloc():
-    """glibc's (malloc_trim, mallopt), or (None, None) where the C library is not glibc."""
-    import ctypes
-
-    try:
-        libc = ctypes.CDLL(None)
-        trim, opt = libc.malloc_trim, libc.mallopt
-        trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
-        opt.argtypes, opt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    except (AttributeError, OSError, TypeError):  # not glibc
-        return None, None
-    return trim, opt
-
-
 def _num_threads():
     value = os.environ.get("AGV_NUM_THREADS", "1")
     try:
@@ -212,12 +197,11 @@ def _num_threads():
 
 
 def cmd_embed(args):
-    # imported here, not at module level: no other command starts threads or tunes malloc
+    # imported here, not at module level: no other command starts threads
     from concurrent.futures import ThreadPoolExecutor
 
     from . import aggregation
 
-    malloc_trim, mallopt = _glibc_malloc()
     n_workers = _num_threads()
     store, bb, agg = _load_model(args.weights)
     records = _read_manifest(args.manifest)
@@ -245,23 +229,8 @@ def cmd_embed(args):
             if not args.keep_going:
                 raise
             return str(e)
-        finally:
-            # glibc keeps the heap pages an utterance frees, and how it left
-            # them decides how many new pages the next one touches: two 60 s
-            # clips at C=512 peaked at 184 or 220 MB RSS with the same arrays,
-            # allocated in a different order. Handing the free pages back
-            # starts each utterance from the same heap.
-            if malloc_trim is not None:
-                malloc_trim(0)
         return None
 
-    # Pool threads allocate from glibc's main heap, which malloc_trim hands
-    # back whole; a thread's own heap keeps its freed top resident. Two 60 s
-    # clips at C=512 peaked at 185 MB in a thread heap, moving by 15 MB with
-    # the order of unrelated allocations, and at 159 MB in the main heap.
-    # It must be set before the pool's threads first allocate.
-    if mallopt is not None:
-        mallopt(M_ARENA_MAX, 1)
     # One outcome per manifest line, in order. A raised failure stops the loop,
     # and Executor.map cancels every job that has not started.
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
