@@ -6,7 +6,16 @@ the time-mean of the result is fused with a bank of learned tokens
 through multi-head attention. Only that mean of the last level is used,
 so the last level computes it directly. Every Table-3-style ablation is
 a `mode` of the same forward.
+
+The F0 encoder is a two-layer ReLU MLP of one scalar per frame, so on
+each of at most d + 1 pieces of that scalar its states, and a level's
+keys and values, are affine in it. A full level keyed by the F0 prompt
+attends through those pieces: O(T·T') elementwise work over the T'
+distinct voiced F0 values plus T×R×d products for R pieces, and no
+T×T'×d product.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +30,7 @@ from .dsp import F0Contour, MelSpectrogram, mel_spectrogram, yin_f0
 from .embedding import SpeakerEmbedding, embedding_from_bytes, embedding_to_bytes, embedding_to_json  # noqa: F401
 from .errors import EmptyContour, ShapeMismatch
 from .nn import (
+    BLOCK_ROWS,
     affine,
     exp_scores,
     glu_gated_conv,
@@ -30,23 +40,78 @@ from .nn import (
     relu,
     row_blocks,
     scaled_dot_attention,
+    score_scale,
 )
 
 
-def encode_f0(contour: F0Contour, params) -> np.ndarray:
-    """F0 contour -> T x d states via a two-layer MLP.
+@dataclass(frozen=True, eq=False)
+class F0Prompt:
+    """The encoded F0 cue of T frames, kept as the encoder's input and weights.
 
-    Per-frame features are (ln(f0/100) if voiced else 0, voiced flag), so
-    unvoiced frames all map to one shared embedding.
+    A voiced frame's feature is (u, 1) with u = ln(f0 / 100), an unvoiced
+    frame's (0, 0), so every unvoiced frame has one state. `u` holds the
+    distinct voiced u in ascending order, `counts` how many frames have
+    each, and `index` each frame's position in `u`, or -1 when unvoiced.
+    """
+
+    u: np.ndarray
+    counts: np.ndarray
+    index: np.ndarray
+    params: dict
+
+    def __len__(self):
+        return len(self.index)
+
+    def states(self) -> np.ndarray:
+        """T x d: every frame's state through the two-layer MLP."""
+        p = self.params
+        feat = np.zeros((len(self), 2))
+        voiced = self.index >= 0
+        feat[voiced, 0] = self.u[self.index[voiced]]
+        feat[voiced, 1] = 1.0
+        h = relu(affine(feat, p["fc1.weight"], p["fc1.bias"]))
+        return affine(h, p["fc2.weight"], p["fc2.bias"])
+
+    def pieces(self):
+        """(u, counts, starts, slope, icpt): the distinct states, as pieces on which they are affine in u.
+
+        The keys are the unvoiced state (u = 0), when a frame has it, then
+        the voiced u in ascending order, with their frame counts. On the
+        piece that starts at key starts[r], a key's state is
+        u * slope[r] + icpt[r]. In a voiced frame the hidden layer is
+        relu(u * a + c) with a = fc1.weight[0] and c = fc1.weight[1] + fc1.bias;
+        consecutive voiced keys with one sign pattern of u * a + c form a
+        piece. Each unit's sign changes at most once along the sorted u,
+        so there are at most d + 1 voiced pieces. The unvoiced piece has
+        slope 0 and hidden layer relu(fc1.bias).
+        """
+        p = self.params
+        w1, b1, w2 = (np.asarray(p[n], dtype=np.float64) for n in ("fc1.weight", "fc1.bias", "fc2.weight"))
+        a, c = w1[0], w1[1] + b1
+        active = np.multiply.outer(self.u, a) + c > 0
+        starts = np.flatnonzero(np.any(active[1:] != active[:-1], axis=1)) + 1
+        starts = np.append(0, starts)[: len(self.u)]  # no voiced key, no voiced piece
+        slope, icpt = active[starts] * a, active[starts] * c  # the hidden layer on each piece
+        u, counts = self.u, self.counts
+        unvoiced = np.count_nonzero(self.index < 0)
+        if unvoiced:
+            u, counts, starts = np.append(0.0, u), np.append(unvoiced, counts), np.append(0, starts + 1)
+            slope, icpt = np.vstack([np.zeros_like(a), slope]), np.vstack([relu(b1), icpt])
+        return u, counts, starts, slope @ w2, affine(icpt, w2, p["fc2.bias"])
+
+
+def encode_f0(contour: F0Contour, params) -> F0Prompt:
+    """F0 contour -> the prompt of a two-layer MLP over (ln(f0/100) if voiced else 0, voiced flag).
+
+    Unvoiced frames all map to one shared state.
     """
     if len(contour) == 0:
         raise EmptyContour("empty F0 contour")
-    feat = np.zeros((len(contour), 2))
     v = contour.voiced
-    feat[v, 0] = np.log(contour.f0_hz[v] / 100.0)
-    feat[v, 1] = 1.0
-    h = relu(affine(feat, params["fc1.weight"], params["fc1.bias"]))
-    return affine(h, params["fc2.weight"], params["fc2.bias"])
+    u, inverse, counts = np.unique(np.log(contour.f0_hz[v] / 100.0), return_inverse=True, return_counts=True)
+    index = np.full(len(contour), -1)
+    index[v] = inverse
+    return F0Prompt(u, counts, index, params)
 
 
 def encode_mel(mel: MelSpectrogram, params) -> np.ndarray:
@@ -59,24 +124,8 @@ def encode_mel(mel: MelSpectrogram, params) -> np.ndarray:
 def _check_aligned(h_query, h_kv):
     # Mel and F0 share one framing, so every stream has the same T; a
     # difference is a framing bug, not something to trim away.
-    if h_query.shape[0] != h_kv.shape[0]:
-        raise ShapeMismatch("stage query has %d frames, keys %d" % (h_query.shape[0], h_kv.shape[0]))
-
-
-def _distinct_rows(x):
-    """(rows, counts): x's distinct rows in order of first appearance and how often each occurs,
-    or (x, None) when no row repeats.
-
-    Rows are compared by their bytes, through one sort of a void view: 3 ms at T = 5164,
-    d = 192, where np.unique(axis=0) takes 19 ms.
-    """
-    x = np.ascontiguousarray(x)
-    rows = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).ravel()
-    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
-    if len(first) == len(x):
-        return x, None
-    order = np.argsort(first)
-    return x[first[order]], counts[order].astype(np.float64)
+    if len(h_query) != len(h_kv):
+        raise ShapeMismatch("stage query has %d frames, keys %d" % (len(h_query), len(h_kv)))
 
 
 def _column_sums(q, k, scale_mode):
@@ -89,21 +138,57 @@ def _column_sums(q, k, scale_mode):
     return (1.0 / e.sum(axis=1)) @ e
 
 
+def _f0_keyed_stage(h_query, prompt: F0Prompt, params, scale_mode):
+    """The full level whose keys are an F0 prompt, through the prompt's pieces.
+
+    On piece r a key is u * alpha_r + beta_r and a value u * gamma_r + delta_r
+    (`F0Prompt.pieces` through wk/bk and wv/bv), so query i scores a key as
+    u * A[i, r] + B[i, r]. A and B, 1/s folded in, come from one product of
+    the query states by wq [alpha | beta]^T, plus bq [alpha | beta]^T. A
+    row block's scores against piece r's keys are then (u, 1) [A_r; B_r],
+    a product over 2, not over d. Each is affine in u on its piece, so a
+    row's largest score is at a piece's first or last key. The output row
+    is the sum over pieces of sum(w * u) * gamma_r + sum(w) * delta_r,
+    divided by sum(w), where w is a key's exp score times its frame count.
+    """
+    u, counts, starts, slope, icpt = prompt.pieces()
+    n = len(starts)
+    ends = np.append(starts[1:], len(u))
+    wk, wv = (np.asarray(params[w], dtype=np.float64) for w in ("wk", "wv"))
+    # rows 2r and 2r + 1: alpha_r and beta_r, gamma_r and delta_r
+    keys = np.stack([slope @ wk, affine(icpt, wk, params["bk"])], axis=1).reshape(2 * n, -1)
+    values = np.stack([slope @ wv, affine(icpt, wv, params["bv"])], axis=1).reshape(2 * n, -1)
+    ab = affine(h_query, np.asarray(params["wq"], dtype=np.float64) @ keys.T, params["bq"] @ keys.T)
+    ab /= score_scale(keys.shape[1], scale_mode)
+    u1 = np.stack([u, np.ones_like(u)], axis=1)
+    sums = u1.T * counts  # a key's weights in sum(w * u) and in sum(w)
+    buf = np.empty(np.max(ends - starts) * BLOCK_ROWS)
+    out = np.empty((len(h_query), values.shape[1]))
+    for s in row_blocks(len(h_query)):
+        rows = s.stop - s.start
+        coef = np.ascontiguousarray(ab[s].T).reshape(n, 2, rows)
+        a, b = coef[:, 0], coef[:, 1]
+        b -= np.maximum(a * u[starts, None] + b, a * u[ends - 1, None] + b).max(axis=0)
+        w = np.empty((n, 2, rows))
+        for r, (lo, hi) in enumerate(zip(starts, ends)):
+            e = np.matmul(u1[lo:hi], coef[r], out=buf[: (hi - lo) * rows].reshape(hi - lo, rows))
+            np.exp(e, out=e)
+            np.matmul(sums[:, lo:hi], e, out=w[r])
+        np.matmul(w.reshape(2 * n, rows).T, values, out=out[s])
+        out[s] /= w[:, 1].sum(axis=0)[:, None]
+    return out
+
+
 def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt", pooled=False):
     """One aggregation level: project q/k/v, attend, no residual.
 
-    Both inputs must have the same frame count T. The scores are computed
-    one row block of queries (`row_blocks`) at a time against all of K;
-    each row's softmax sees every key, so each output row is the dense
-    kernel's (up to BLAS rounding) while at most BLOCK_ROWS x T weights
-    exist at a time.
-
-    The full form merges exactly repeated key rows first: it attends over
-    the distinct rows of h_kv, each weighted by its count. Every unvoiced
-    frame has one F0 state, so level 1's F0 prompt repeats. The values go
-    to the dense kernel as [counts * v | counts], and each output row is
-    divided by its last column, which holds the row's softmax mass. When
-    no row repeats, nothing is merged.
+    Both inputs must have the same frame count T; either may be an
+    F0Prompt. The scores are computed one row block of queries
+    (`row_blocks`) at a time against all of K; each row's softmax sees
+    every key, so each output row is the dense kernel's (up to BLAS
+    rounding) while at most BLOCK_ROWS x T weights exist at a time. A
+    full level keyed by an F0Prompt attends through its pieces
+    (`_f0_keyed_stage`); any other use of a prompt takes its states.
 
     Returns (output, None); the T x T weights are never held, so there is
     no trace to return. The output is T x d, or with `pooled` the 1 x d
@@ -113,6 +198,12 @@ def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt", pooled=False
     normalised weights.
     """
     _check_aligned(h_query, h_kv)
+    if isinstance(h_query, F0Prompt):
+        h_query = h_query.states()
+    if isinstance(h_kv, F0Prompt):
+        if not pooled:
+            return _f0_keyed_stage(h_query, h_kv, params, scale_mode), None
+        h_kv = h_kv.states()
     if pooled:
         q, k = project_qkv((h_query, h_kv), params)  # two inputs: Q and K only
         col = np.zeros(k.shape[0])
@@ -120,20 +211,10 @@ def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt", pooled=False
             col += _column_sums(q[s], k, scale_mode)
         col /= q.shape[0]
         return affine((col @ h_kv)[None], params["wv"], params["bv"]), None
-    h_kv, k_counts = _distinct_rows(h_kv)
-    if k_counts is None:
-        q, k, v = project_qkv((h_query, h_kv, h_kv), params)
-    else:
-        # [counts * v | counts], projected into place: a stacked copy of v raised a 60 s clip's peak RSS by 4 MB
-        q, k = project_qkv((h_query, h_kv), params)
-        v = np.empty((len(h_kv), params["wv"].shape[1] + 1))
-        affine(h_kv, params["wv"], params["bv"], out=v[:, :-1])
-        v[:, :-1] *= k_counts[:, None]
-        v[:, -1] = k_counts
-    out = np.empty((q.shape[0], params["wv"].shape[1]))
+    q, k, v = project_qkv((h_query, h_kv, h_kv), params)
+    out = np.empty((q.shape[0], v.shape[1]))
     for s in row_blocks(q.shape[0]):
-        o = scaled_dot_attention(q[s], k, v, scale_mode).output
-        out[s] = o if k_counts is None else o[:, :-1] / o[:, -1:]
+        out[s] = scaled_dot_attention(q[s], k, v, scale_mode).output
     return out, None
 
 

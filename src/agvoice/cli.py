@@ -401,19 +401,30 @@ def _selftest_gradchecks(rng):
     return max(gradcheck(f, g, xs, abs_floor=max(1e-8, 1e-4 * (1.0 + abs(f(xs))))) for xs in draws)
 
 
-def _selftest_pooled_gap(rng):
-    """Largest |pooled stage - time-mean of the full stage's rows| over both scale modes, T spanning two blocks."""
+def _selftest_stage_gaps(rng):
+    """Over both scale modes, T spanning two blocks: the largest |pooled stage - time-mean of the full
+    stage's rows|, and the largest |full stage keyed by an F0 prompt - dense stage over its states|
+    with about a fifth of the frames unvoiced."""
     from . import aggregation, nn
+    from .dsp import F0Contour
 
     d, t = 8, nn.BLOCK_ROWS + 3
     params = {w + n: rng.standard_normal((d, d) if w == "w" else d) * 0.4 for n in "qkv" for w in "wb"}
     hq, hkv = rng.standard_normal((t, d)), rng.standard_normal((t, d))
-    gaps = []
+    encoder = {"fc1.weight": rng.standard_normal((2, d)), "fc1.bias": rng.standard_normal(d) * 0.4,
+               "fc2.weight": rng.standard_normal((d, d)) * 0.4, "fc2.bias": rng.standard_normal(d) * 0.4}
+    contour = F0Contour(rng.uniform(60.0, 500.0, t), rng.random(t) < 0.8, np.zeros(t))
+    prompt = aggregation.encode_f0(contour, encoder)
+    stage = aggregation.cross_attention_stage
+    pooled_gap = f0_gap = 0.0
     for mode in SCALE_MODES:
-        full, _ = aggregation.cross_attention_stage(hq, hkv, params, mode)
-        pooled, _ = aggregation.cross_attention_stage(hq, hkv, params, mode, pooled=True)
-        gaps.append(np.max(np.abs(pooled - full.mean(axis=0))))
-    return float(max(gaps))
+        full, _ = stage(hq, hkv, params, mode)
+        pooled, _ = stage(hq, hkv, params, mode, pooled=True)
+        pieces, _ = stage(hq, prompt, params, mode)
+        dense, _ = stage(hq, prompt.states(), params, mode)
+        pooled_gap = max(pooled_gap, np.max(np.abs(pooled - full.mean(axis=0))))
+        f0_gap = max(f0_gap, np.max(np.abs(pieces - dense)))
+    return float(pooled_gap), float(f0_gap)
 
 
 def cmd_selftest(args):
@@ -427,10 +438,13 @@ def cmd_selftest(args):
     if worst_grad >= 1e-6:
         failures.append("gradcheck")
 
-    pooled_gap = _selftest_pooled_gap(rng)
+    pooled_gap, f0_gap = _selftest_stage_gaps(rng)
     report.append("pooled stage vs mean of full rows: max abs diff %.3g" % pooled_gap)
     if not pooled_gap < 1e-12:
         failures.append("pooled stage")
+    report.append("F0-keyed stage vs dense: max abs diff %.3g" % f0_gap)
+    if not f0_gap < 1e-12:
+        failures.append("F0-keyed stage")
 
     # DSP tone suite
     t = np.arange(CANONICAL_RATE) / CANONICAL_RATE
@@ -508,7 +522,7 @@ def build_parser():
     sp.add_argument("candidates", nargs="+")
     sp.set_defaults(func=cmd_abx)
 
-    sp = sub.add_parser("selftest", help="attention gradcheck, pooled attention stage, DSP tone suite, serialization round trip")
+    sp = sub.add_parser("selftest", help="attention gradcheck, pooled and F0-keyed attention stages, DSP tone suite, serialization round trip")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--weights", default=None, metavar="PATH")
     sp.set_defaults(func=cmd_selftest)

@@ -7,8 +7,9 @@ token bank through the fusion projections) also meet in float64. The
 dense attention kernel returns its Tq x Tk softmax weights with the
 output (AttentionTrace), so `attention_backward`, the one backward pass
 (an analytic oracle for `gradcheck`; nothing trains), does not have to
-recompute them. Only this dense kernel keeps weights: the aggregation
-levels call it on row blocks of queries and keep just the output. The weights are
+recompute them. Only this dense kernel keeps weights: a full aggregation
+level over state keys calls it on row blocks of queries and keeps just the
+output (one keyed by the F0 prompt does not call it). The weights are
 built by `exp_scores` in the one Tq x Tk array the score product
 returns, so a call holds one such array, not the five a composed
 softmax makes; the last aggregation level uses `exp_scores` alone.
@@ -137,7 +138,8 @@ def conv1d(x, kernels, dilation=1):
     return out
 
 
-def _scale(d, scale_mode):
+def score_scale(d, scale_mode):
+    """The divisor s of Q K^T: sqrt(d), or d in `linear` mode."""
     if scale_mode == "sqrt":
         return np.sqrt(float(d))
     if scale_mode == "linear":
@@ -153,7 +155,7 @@ def exp_scores(q, k, scale_mode="sqrt"):
     computes on the way.
     """
     w = q @ k.T
-    w /= _scale(q.shape[1], scale_mode)
+    w /= score_scale(q.shape[1], scale_mode)
     w -= w.max(axis=-1, keepdims=True)
     return np.exp(w, out=w)
 
@@ -182,7 +184,7 @@ def attention_backward(trace: AttentionTrace, q, k, v, d_out, scale_mode="sqrt")
     if d_out.shape != trace.output.shape:
         raise ShapeMismatch("d_out %s vs output %s" % (d_out.shape, trace.output.shape))
     a = trace.weights
-    s = _scale(q.shape[1], scale_mode)
+    s = score_scale(q.shape[1], scale_mode)
     d_v = a.T @ d_out
     d_a = d_out @ v.T
     d_logits = a * (d_a - np.sum(d_a * a, axis=1, keepdims=True))

@@ -23,7 +23,7 @@ from agvoice.errors import EmptyContour, ShapeMismatch
 from agvoice.nn import BLOCK_ROWS as ROWS, affine, glu_gated_conv, param_group, project_qkv, relu, row_blocks, scaled_dot_attention
 from agvoice.weights import ParamStore, init_params
 from conftest import SR, sine
-from oracles import loop_attention, loop_mha, loop_pooled_stage, reference_embedding
+from oracles import loop_attention, loop_mha, loop_pooled_stage, loop_stage, reference_embedding
 
 
 def stage_params(rng, d):
@@ -44,11 +44,10 @@ def f0_params(rng, d):
 
 
 def repeat_rows(rng, x, frac=0.15):
-    """x with about `frac` of its rows (at least two) set to one shared row, and its distinct row count."""
+    """x with about `frac` of its rows (at least two) set to one shared row."""
     x = x.copy()
-    rows = rng.choice(len(x), max(2, round(frac * len(x))), replace=False)
-    x[rows] = rng.standard_normal(x.shape[1])
-    return x, len(x) - len(rows) + 1
+    x[rng.choice(len(x), max(2, round(frac * len(x))), replace=False)] = rng.standard_normal(x.shape[1])
+    return x
 
 
 def contour_of(f0, voiced):
@@ -60,13 +59,13 @@ def contour_of(f0, voiced):
 class TestEncodeF0:
     def test_unvoiced_frames_share_embedding(self, rng):
         p = f0_params(rng, 6)
-        h = encode_f0(contour_of([0, 0, 0], [False, False, False]), p)
+        h = encode_f0(contour_of([0, 0, 0], [False, False, False]), p).states()
         assert np.array_equal(h[0], h[1])
         assert np.array_equal(h[0], h[2])
 
     def test_100hz_feature_zero(self, rng):
         p = f0_params(rng, 4)
-        h = encode_f0(contour_of([100.0], [True]), p)
+        h = encode_f0(contour_of([100.0], [True]), p).states()
         ref = affine(relu(affine(np.array([[0.0, 1.0]]), p["fc1.weight"], p["fc1.bias"])), p["fc2.weight"], p["fc2.bias"])
         assert np.array_equal(h, ref)
 
@@ -74,12 +73,20 @@ class TestEncodeF0:
         p = f0_params(rng, 5)
         f0 = np.array([110.0, 0.0, 220.0, 330.0])
         voiced = np.array([True, False, True, True])
-        h = encode_f0(contour_of(f0, voiced), p)
+        h = encode_f0(contour_of(f0, voiced), p).states()
         feat = np.zeros((4, 2))
         feat[voiced, 0] = np.log(f0[voiced] / 100.0)
         feat[voiced, 1] = 1.0
         ref = np.maximum(feat @ p["fc1.weight"] + p["fc1.bias"], 0) @ p["fc2.weight"] + p["fc2.bias"]
         assert np.max(np.abs(h - ref)) < 1e-12
+
+    def test_keeps_distinct_voiced_values_sorted_with_counts(self, rng):
+        f0 = np.array([220.0, 0.0, 110.0, 220.0, 0.0, 220.0])
+        prompt = encode_f0(contour_of(f0, f0 > 0), f0_params(rng, 4))
+        assert np.array_equal(prompt.u, np.log([1.1, 2.2]))
+        assert np.array_equal(prompt.counts, [1.0, 3.0])
+        assert np.array_equal(prompt.index, [1, -1, 0, 1, -1, 1])
+        assert len(prompt) == 6
 
     def test_empty_contour(self, rng):
         with pytest.raises(EmptyContour):
@@ -229,26 +236,63 @@ class TestBlockedStage:
         assert out.shape == (1, d) and second is None
         assert np.max(np.abs(out - loop_pooled_stage(hq, hkv, p, mode))) < 1e-12
 
+    @staticmethod
+    def f0_keyed_error(rng, t, mode, f0, voiced, zero_slope=False, query_gain=1.0):
+        """Largest difference of the full and pooled levels keyed by the F0 prompt of (f0, voiced)
+        from loop_stage over the prompt's states and its row mean; the query rows repeat."""
+        d = 4
+        p, pe = stage_params(rng, d), f0_params(rng, d)
+        if zero_slope:  # every other unit of fc1 ignores u
+            pe["fc1.weight"][0, ::2] = 0.0
+        p["wq"] *= query_gain
+        prompt = encode_f0(contour_of(f0, voiced), pe)
+        hq = repeat_rows(rng, rng.standard_normal((t, d)))
+        out, _ = cross_attention_stage(hq, prompt, p, mode)
+        pooled, _ = cross_attention_stage(hq, prompt, p, mode, pooled=True)
+        ref = loop_stage(hq, prompt.states(), p, mode)
+        return max(np.max(np.abs(out - ref)), np.max(np.abs(pooled - ref.mean(axis=0))))
+
     @pytest.mark.parametrize("t", [ROWS - 1, ROWS + 1, 2 * ROWS + 3])
     @pytest.mark.parametrize("mode", ["sqrt", "linear"])
-    def test_repeated_key_rows_match_dense_kernel(self, rng, monkeypatch, t, mode):
-        # An F0 cue gives every unvoiced frame one state: the full form
-        # attends over the distinct rows of h_kv, each weighted by its count.
-        # The pooled form merges nothing; with repeated queries and keys it
-        # still matches its oracle.
-        d = 8
+    def test_f0_keyed_level_matches_loop_stage(self, rng, t, mode):
+        # The full level keyed by an F0 prompt attends through the encoder's
+        # pieces: every unvoiced frame is one key, and a voiced F0 value that
+        # repeats is one key. The pooled level attends over the prompt's states.
+        f0 = rng.choice(np.append(rng.uniform(60.0, 500.0, t // 2), [110.0] * 8), t)
+        assert self.f0_keyed_error(rng, t, mode, f0, rng.random(t) < 0.8) < 1e-12
+
+    CONTOURS = {
+        "no voiced frame": lambda rng, t: (np.zeros(t), np.zeros(t, dtype=bool)),
+        "no unvoiced frame": lambda rng, t: (rng.uniform(60.0, 500.0, t), np.ones(t, dtype=bool)),
+        "one voiced frame": lambda rng, t: (np.full(t, 180.0), np.arange(t) == t // 3),
+        "repeated f0 values": lambda rng, t: (rng.choice([95.0, 100.0, 140.0], t), rng.random(t) < 0.7),
+        "f0 at 60 and 500 Hz": lambda rng, t: (rng.choice([60.0, 500.0], t), rng.random(t) < 0.7),
+    }
+
+    @pytest.mark.parametrize("contour", list(CONTOURS) + ["zero fc1 slope", "scores in the thousands"])
+    @pytest.mark.parametrize("mode", ["sqrt", "linear"])
+    def test_f0_keyed_level_matches_loop_stage_on_edge_contours(self, rng, mode, contour):
+        # Scores in the thousands overflow exp unless each row's largest score is subtracted first.
+        t = ROWS + 1
+        if contour in self.CONTOURS:
+            assert self.f0_keyed_error(rng, t, mode, *self.CONTOURS[contour](rng, t)) < 1e-12
+        else:
+            f0, voiced = rng.uniform(60.0, 500.0, t), rng.random(t) < 0.7
+            options = {"zero_slope": True} if contour == "zero fc1 slope" else {"query_gain": 1e4}
+            assert self.f0_keyed_error(rng, t, mode, f0, voiced, **options) < 1e-12
+
+    def test_f0_keyed_full_level_calls_no_attention_kernel(self, rng, monkeypatch):
+        d, t = 8, ROWS + 1
         p = stage_params(rng, d)
-        hq, _ = repeat_rows(rng, rng.standard_normal((t, d)))
-        hkv, distinct = repeat_rows(rng, rng.standard_normal((t, d)))
-        keys = []
+        f0, voiced = rng.uniform(60.0, 500.0, t), rng.random(t) < 0.8
+        prompt = encode_f0(contour_of(f0, voiced), f0_params(rng, d))
+        calls = []
         kernel = aggregation.scaled_dot_attention
-        monkeypatch.setattr(aggregation, "scaled_dot_attention", lambda q, k, *a: keys.append(len(k)) or kernel(q, k, *a))
-        out, _ = cross_attention_stage(hq, hkv, p, mode)
-        pooled, _ = cross_attention_stage(hq, hkv, p, mode, pooled=True)
-        assert keys == [distinct] * len(row_blocks(t))
-        q, k, v = project_qkv((hq, hkv, hkv), p)
-        assert np.max(np.abs(out - kernel(q, k, v, mode).output)) < 1e-12
-        assert np.max(np.abs(pooled - loop_pooled_stage(hq, hkv, p, mode))) < 1e-12
+        monkeypatch.setattr(aggregation, "scaled_dot_attention", lambda *a: calls.append(len(a[1])) or kernel(*a))
+        cross_attention_stage(rng.standard_normal((t, d)), prompt, p)
+        assert calls == []
+        cross_attention_stage(rng.standard_normal((t, d)), prompt.states(), p)
+        assert calls == [t] * len(row_blocks(t))
 
     @pytest.mark.parametrize("pooled", [False, True])
     def test_every_row_identical(self, rng, pooled):
@@ -265,12 +309,13 @@ class TestBlockedStage:
         # rows, released before the next block's is made; the bound leaves
         # half a block for the t x d projections. At t = 639 a block rule
         # that lets a short remainder join the last block holds 383 x t.
-        # Merging repeated key rows adds the distinct rows and their counts.
+        # Keyed by an F0 prompt, the full level holds one piece's scores of a block at a time.
         d = 8
         p = stage_params(rng, d)
         for t in (2 * ROWS + ROWS // 2 - 1, 2048):
             hq = rng.standard_normal((t, d))
-            for hkv in (rng.standard_normal((t, d)), repeat_rows(rng, rng.standard_normal((t, d)))[0]):
+            prompt = encode_f0(contour_of(rng.uniform(60.0, 500.0, t), rng.random(t) < 0.8), f0_params(rng, d))
+            for hkv in (rng.standard_normal((t, d)), prompt):
                 for pooled in (False, True):
                     tracemalloc.start()
                     try:
@@ -392,8 +437,8 @@ class TestExtractEmbedding:
 
     @pytest.mark.parametrize("mode", ["SE_F0", "SE_F0_then_ME", "SE_ME_then_F0"])
     def test_clip_with_silent_gaps_matches_end_to_end_reference_script(self, setup, mode):
-        # Silent frames share one F0 state and one mel state, so a full
-        # level keyed by either cue merges them. Without splitting, a level's change is not
+        # Silent frames share one F0 state and one mel state; level 1 keyed by F0 attends to
+        # that state as one key weighted by its frame count. Without splitting, a level's change is not
         # averaged away by the near-uniform token fusion of seeded weights.
         assert self.gated_clip_error(setup, mode) < 1e-8
 

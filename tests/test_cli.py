@@ -1091,6 +1091,7 @@ def test_selftest_passes(capsys):
     assert "PASS" in out
     assert "gradcheck worst relative error" in out
     assert "pooled stage vs mean of full rows" in out
+    assert "F0-keyed stage vs dense: max abs diff" in out
 
 
 def test_selftest_corrupt_weights(tmp_path, weights_file):
