@@ -71,18 +71,19 @@ class F0Prompt:
         h = relu(affine(feat, p["fc1.weight"], p["fc1.bias"]))
         return affine(h, p["fc2.weight"], p["fc2.bias"])
 
-    def pieces(self):
-        """(u, counts, starts, slope, icpt): the distinct states, as pieces on which they are affine in u.
+    def project_pieces(self, pairs):
+        """The distinct states as pieces on which they are affine in u, through each (w, b) of `pairs`.
 
         The keys are the unvoiced state (u = 0), when a frame has it, then
-        the voiced u in ascending order, with their frame counts. On the
-        piece that starts at key starts[r], a key's state is
-        u * slope[r] + icpt[r]. In a voiced frame the hidden layer is
-        relu(u * a + c) with a = fc1.weight[0] and c = fc1.weight[1] + fc1.bias;
-        consecutive voiced keys with one sign pattern of u * a + c form a
-        piece. Each unit's sign changes at most once along the sorted u,
-        so there are at most d + 1 voiced pieces. The unvoiced piece has
-        slope 0 and hidden layer relu(fc1.bias).
+        the voiced u in ascending order, with their frame counts. In a voiced
+        frame the hidden layer is relu(u * a + c) with a = fc1.weight[0] and
+        c = fc1.weight[1] + fc1.bias; consecutive voiced keys with one sign
+        pattern of u * a + c form a piece. Each unit's sign changes at most
+        once along the sorted u, so there are at most d + 1 voiced pieces.
+        The unvoiced piece has slope 0 and hidden layer relu(fc1.bias). On
+        piece r a key's state is u * alpha_r + beta_r, so through (w, b) it
+        is u * alpha_r w + (beta_r w + b): one PieceKeys per pair, all with
+        the same keys and pieces.
         """
         p = self.params
         w1, b1, w2 = (np.asarray(p[n], dtype=np.float64) for n in ("fc1.weight", "fc1.bias", "fc2.weight"))
@@ -96,7 +97,13 @@ class F0Prompt:
         if unvoiced:
             u, counts, starts = np.append(0.0, u), np.append(unvoiced, counts), np.append(0, starts + 1)
             slope, icpt = np.vstack([np.zeros_like(a), slope]), np.vstack([relu(b1), icpt])
-        return u, counts, starts, slope @ w2, affine(icpt, w2, p["fc2.bias"])
+        slope, icpt = slope @ w2, affine(icpt, w2, p["fc2.bias"])  # the states on each piece
+
+        def basis(w, b):
+            w = np.asarray(w, dtype=np.float64)
+            return np.stack([slope @ w, affine(icpt, w, b)], axis=1).reshape(2 * len(starts), -1)
+
+        return [PieceKeys(u, counts, starts, basis(w, b)) for w, b in pairs]
 
 
 def encode_f0(contour: F0Contour, params) -> F0Prompt:
@@ -139,11 +146,12 @@ def _column_sums(q, k, scale_mode):
 
 @dataclass(frozen=True, eq=False)
 class PieceKeys:
-    """A level's T' keys over an F0 prompt, each affine in its u on its piece.
+    """An F0 prompt's T' distinct states through one projection (a level's keys or values), each affine
+    in its u on its piece (`F0Prompt.project_pieces`).
 
     Key j stands for counts[j] frames. On piece r, from key starts[r] up
     to the next start, key j is u[j] * basis[2r] + basis[2r + 1]. `shape`
-    is that of the T' x d key matrix the pieces stand for.
+    is that of the T' x d matrix the pieces stand for.
     """
 
     u: np.ndarray
@@ -154,22 +162,6 @@ class PieceKeys:
     @property
     def shape(self):
         return (len(self.u), self.basis.shape[1])
-
-
-def _piece_keys(prompt: F0Prompt, params):
-    """A level's keys over an F0 prompt as PieceKeys, and its 2R x d value basis.
-
-    `F0Prompt.pieces` gives the states on piece r as u * alpha_r + beta_r;
-    through wk/bk (wv/bv) rows 2r and 2r + 1 of a basis are alpha_r wk and
-    beta_r wk + bk.
-    """
-    u, counts, starts, slope, icpt = prompt.pieces()
-
-    def basis(w, b):
-        w = np.asarray(params[w], dtype=np.float64)
-        return np.stack([slope @ w, affine(icpt, w, params[b])], axis=1).reshape(2 * len(starts), -1)
-
-    return PieceKeys(u, counts, starts, basis("wk", "bk")), basis("wv", "bv")
 
 
 def scaled_dot_attention(q, k, v, scale_mode="sqrt"):
@@ -241,7 +233,8 @@ def cross_attention_stage(h_query, h_kv, params, scale_mode="sqrt", pooled=False
         col /= q.shape[0]
         return affine((col @ h_kv)[None], params["wv"], params["bv"]), None
     if isinstance(h_kv, F0Prompt):
-        k, v = _piece_keys(h_kv, params)
+        k, v = h_kv.project_pieces([(params["wk"], params["bk"]), (params["wv"], params["bv"])])
+        v = v.basis
         q = affine(h_query, np.asarray(params["wq"], dtype=np.float64) @ k.basis.T, params["bq"] @ k.basis.T)
     else:
         q, k, v = project_qkv((h_query, h_kv, h_kv), params)
@@ -272,8 +265,7 @@ def split_and_fuse(pooled, tokens, heads, params):
     """
     if tokens.ndim != 2 or tokens.shape[1:] != pooled.shape:
         raise ShapeMismatch("tokens %s vs pooled state %s" % (tokens.shape, pooled.shape))
-    out, _ = multi_head_attention(pooled[None, :], tokens, tokens, heads, params)
-    return out[0]
+    return multi_head_attention(pooled[None, :], tokens, tokens, heads, params)[0]
 
 
 def _encode(cue, mel, contour, params):
@@ -295,6 +287,7 @@ def aggregate(h_sv, z, mel, contour, params, cfg: AggregationConfig):
         h = level1_attention(h_sv, prompt, p1, sm)
         del prompt  # level 2 has its own cue
         h = level2_attention(_encode(cues[1], mel, contour, params), h, param_group(params, "level2"), sm)
+    # A pooled level's one row is its own mean; perfbench/test_smoke.py runs both levels full and needs the mean.
     pooled = h.mean(axis=0)
     if cfg.splitting:
         return split_and_fuse(pooled, params["tokens"], cfg.heads, param_group(params, "fuse"))

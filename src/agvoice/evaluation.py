@@ -204,9 +204,9 @@ def _gray(block) -> np.ndarray:
     return np.clip(np.round((block + 1.0) * 127.5), 0, 255).astype(np.uint8)
 
 
-def matrix_to_csv(m: SimilarityMatrix, f, pgm=None):
+def matrix_to_csv(m: SimilarityMatrix, f, pgm):
     """Write the matrix to the binary file `f` as UTF-8 CSV: a header of column labels, then one row per
-    row label, each cell "%.9g". With a binary file `pgm`, write it there as matrix_to_pgm does, in the same pass.
+    row label, each cell "%.9g"; and to the binary file `pgm` as matrix_to_pgm does, in the same pass.
 
     Each product block of CSV_BLOCK_ROWS rows is computed once; its PGM rows
     are written, then its CSV rows formatted and written in chunks of about
@@ -231,12 +231,10 @@ def matrix_to_csv(m: SimilarityMatrix, f, pgm=None):
     tables = _csv_tables()
     chunk = max(1, CSV_CHUNK_CELLS // max(1, m.values.shape[1]))
     f.write(("," + ",".join(_csv_field(c) for c in m.col_labels) + "\n").encode("utf-8"))
-    if pgm is not None:
-        pgm.write(_pgm_header(m))
+    pgm.write(_pgm_header(m))
     for start in range(0, len(m.values), CSV_BLOCK_ROWS):
         block = m.values[start : start + CSV_BLOCK_ROWS]
-        if pgm is not None:
-            pgm.write(_gray(block))
+        pgm.write(_gray(block))
         fields = [_csv_field(label).encode("utf-8") for label in m.row_labels[start : start + len(block)]]
         for at in range(0, len(block), chunk):
             f.write(_csv_rows(block[at : at + chunk], fields[at : at + chunk], tables))

@@ -202,20 +202,15 @@ def multi_head_attention(q, k, v, heads, params):
     """Projected multi-head attention.
 
     params holds wq/bq, wk/bk, wv/bv (d x d, d) and the output projection
-    wo/bo. Returns (output, head_weights); for a single query row the
-    weights come back as heads x Tk.
+    wo/bo. Returns the Tq x d output.
     """
     d = np.shape(q)[1]
     if d % heads:
         raise IndivisibleHeads("d=%d not divisible by %d heads" % (d, heads))
     proj = project_qkv((q, k, v), params)
     hd = d // heads
-    traces = [scaled_dot_attention(*(p[:, h * hd : (h + 1) * hd] for p in proj), "sqrt") for h in range(heads)]
-    out = affine(np.concatenate([tr.output for tr in traces], axis=1), params["wo"], params["bo"])
-    hw = np.stack([tr.weights for tr in traces])
-    if np.shape(q)[0] == 1:
-        hw = hw[:, 0, :]
-    return out, hw
+    outs = [scaled_dot_attention(*(p[:, h * hd : (h + 1) * hd] for p in proj), "sqrt").output for h in range(heads)]
+    return affine(np.concatenate(outs, axis=1), params["wo"], params["bo"])
 
 
 def glu_gated_conv(x, kernels, bias):

@@ -98,7 +98,7 @@ def test_criterion_3_attention_oracles(capfd):
         q, k = rng.standard_normal((tq, d)), rng.standard_normal((tk, d))
         p = {w: rng.standard_normal((d, d)) for w in ("wq", "wk", "wv", "wo")}
         p.update({b: rng.standard_normal(d) for b in ("bq", "bk", "bv", "bo")})
-        out, _ = multi_head_attention(q, k, k, heads, p)
+        out = multi_head_attention(q, k, k, heads, p)
         worst = max(worst, np.max(np.abs(out - loop_mha(q, k, k, heads, p))))
     for _ in range(100):
         c, scale = 16, 8

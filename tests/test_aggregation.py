@@ -88,6 +88,25 @@ class TestEncodeF0:
         assert np.array_equal(prompt.index, [1, -1, 0, 1, -1, 1])
         assert len(prompt) == 6
 
+    def test_projected_pieces_are_each_keys_projection(self, rng):
+        # On piece r, key j through (w, b) is u_j * basis[2r] + basis[2r + 1]: for queries, keys and values
+        # alike, with one fc1 unit that ignores u and about a fifth of the frames unvoiced.
+        d, t = 8, ROWS + 1
+        pe, p = f0_params(rng, d), stage_params(rng, d)
+        pe["fc1.weight"][0, 0] = 0.0
+        prompt = encode_f0(contour_of(rng.uniform(60.0, 500.0, t), rng.random(t) < 0.8), pe)
+        # one frame of each key: the unvoiced frames' shared state, then the voiced u in ascending order
+        _, frames, counts = np.unique(prompt.index, return_index=True, return_counts=True)
+        states = prompt.states()[frames]
+        pairs = [(p["w" + n], p["b" + n]) for n in "qkv"]
+        for (w, b), keys in zip(pairs, prompt.project_pieces(pairs), strict=True):
+            assert keys.shape == (len(frames), d) and len(keys.starts) > 2
+            assert np.array_equal(keys.u, np.append(0.0, prompt.u)) and np.array_equal(keys.counts, counts)
+            ends = np.append(keys.starts[1:], len(keys.u))
+            for r, (lo, hi) in enumerate(zip(keys.starts, ends)):
+                got = np.multiply.outer(keys.u[lo:hi], keys.basis[2 * r]) + keys.basis[2 * r + 1]
+                assert np.max(np.abs(got - affine(states[lo:hi], w, b))) < 1e-12, (r, lo, hi)
+
     def test_empty_contour(self, rng):
         with pytest.raises(EmptyContour):
             encode_f0(contour_of([], []), f0_params(rng, 4))

@@ -271,7 +271,7 @@ class TestMultiHead:
         d = 8
         p = mha_params(rng, d)
         token = rng.standard_normal((1, d))
-        outs = [multi_head_attention(rng.standard_normal((1, d)), token, token, 2, p)[0] for _ in range(3)]
+        outs = [multi_head_attention(rng.standard_normal((1, d)), token, token, 2, p) for _ in range(3)]
         assert np.allclose(outs[0], outs[1], atol=1e-15)
         assert np.allclose(outs[0], outs[2], atol=1e-15)
 
@@ -280,7 +280,7 @@ class TestMultiHead:
         p = {n: np.eye(d) for n in ("wq", "wk", "wv", "wo")}
         p.update({n: np.zeros(d) for n in ("bq", "bk", "bv", "bo")})
         q, kv = rng.standard_normal((1, d)), rng.standard_normal((3, d))
-        out, _ = multi_head_attention(q, kv, kv, 1, p)
+        out = multi_head_attention(q, kv, kv, 1, p)
         ref = scaled_dot_attention(q, kv, kv).output
         assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -288,10 +288,8 @@ class TestMultiHead:
         d = 8
         p = mha_params(rng, d)
         q, kv = rng.standard_normal((1, d)), rng.standard_normal((4, d))
-        out, hw = multi_head_attention(q, kv, kv, 2, p)
+        out = multi_head_attention(q, kv, kv, 2, p)
         assert np.max(np.abs(out - loop_mha(q, kv, kv, 2, p))) < 1e-12
-        assert hw.shape == (2, 4)
-        assert np.allclose(hw.sum(axis=1), 1.0, atol=1e-9)
 
     def test_indivisible_heads(self, rng):
         with pytest.raises(IndivisibleHeads):

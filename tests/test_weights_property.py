@@ -1,19 +1,25 @@
-"""Property test: `inspect` and `selftest --weights` on a mutated weight file exit 0, 2 or 3, write one
-standard-error line when they fail, raise nothing and write no file."""
+"""Property test: `inspect`, `selftest --weights` and `embed` of a short clip with a mutated weight file exit
+0, 2 or 3, write one standard-error line when they fail and raise nothing. `inspect` and `selftest` write no
+file; `embed` writes finite values when it exits 0 and leaves no --out directory when it fails."""
 
 import json
 import os
+import shutil
 import struct
 import tempfile
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from agvoice.audio_io import encode_wav_pcm16  # noqa: E402
 from agvoice.config import AggregationConfig, BackboneConfig  # noqa: E402
+from agvoice.embedding import embedding_from_json  # noqa: E402
 from agvoice.weights import WEIGHTS_MAGIC, init_params, save  # noqa: E402
+from conftest import sine  # noqa: E402
 from test_score_property import run  # noqa: E402
 
 # what `init --channels 8 --dmodel 4 --heads 2 --tokens 2` writes: 14 kB
@@ -22,6 +28,11 @@ BLOB = save(init_params(BackboneConfig(channels=8, d_model=4), AggregationConfig
 HEADER = json.loads(BLOB[12 : 12 + HLEN])
 PAYLOAD = BLOB[12 + HLEN :]
 NEST = "\x00nest\x00"  # stands for a nested JSON text spliced into the header after dumping
+# the one line of `embed`'s manifest: a 0.3 s tone, 22 frames
+CLIP_FILES = {
+    "a.wav": encode_wav_pcm16(sine(220.0, 0.3)),
+    "m.jsonl": json.dumps({"path": "a.wav", "utterance_id": "a", "speaker_id": "s"}).encode() + b"\n",
+}
 
 JSON_VALUES = (
     st.none()
@@ -43,13 +54,13 @@ def objects(header):
 
 @st.composite
 def weight_files(draw):
-    """The init file with one to three of: a header, meta or config key dropped, added, retyped or
+    """The init file with none, one, two or three of: a header, meta or config key dropped, added, retyped or
     nested 500 or 100000 deep; a tensor renamed to non-ASCII text. The header is written as ASCII
     escapes or as UTF-8 (a lone surrogate as its three bytes, which UTF-8 refuses). Then, about one
     time in four, the payload is cut short."""
     header = json.loads(json.dumps(HEADER))
     depth = None
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["drop", "add", "retype", "nest", "rename"]))
         if kind == "rename":
             tensors = header.get("tensors")
@@ -80,13 +91,23 @@ def weight_files(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(weight_files())
-def test_inspect_and_selftest_exit_0_2_or_3_with_one_error_line(data):
+def test_inspect_selftest_and_embed_exit_0_2_or_3_with_one_error_line(data):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "w.agvw")
-        with open(path, "wb") as f:
-            f.write(data)
-        for argv in (["inspect", "--weights", path], ["selftest", "--weights", path]):
+        files = dict(CLIP_FILES, **{"w.agvw": data})
+        for name, blob in files.items():
+            with open(os.path.join(tmp, name), "wb") as f:
+                f.write(blob)
+        path, out = os.path.join(tmp, "w.agvw"), os.path.join(tmp, "out")
+        for argv in (
+            ["inspect", "--weights", path],
+            ["selftest", "--weights", path],
+            ["embed", os.path.join(tmp, "m.jsonl"), "--weights", path, "--out", out],
+        ):
             code, _, err = run(argv)
             assert code in (0, 2, 3), (argv[0], code, err)
             assert err.count("\n") == (1 if code else 0), (argv[0], err)
-            assert os.listdir(tmp) == ["w.agvw"], argv[0]
+            if argv[0] == "embed" and code == 0:
+                with open(os.path.join(out, "a.json")) as f:
+                    assert np.isfinite(embedding_from_json(f.read()).vector).all()
+                shutil.rmtree(out)
+            assert sorted(os.listdir(tmp)) == sorted(files), argv[0]
